@@ -34,7 +34,6 @@ from .constraints import (
     matrix_sum_value,
 )
 from .derivatives import (
-    DerivativeResult,
     first_derivative,
     ghs_sum,
     second_derivative_analytic,
@@ -48,7 +47,6 @@ from .model import (
     GhostWeightVector,
     ModelSpec,
     PairOrder,
-    SpinConfig,
     correlator,
     energy,
     instance_digest,
@@ -75,7 +73,6 @@ __all__ = [
     "AlphaTable",
     "CapacityError",
     "ConstraintMatrix",
-    "DerivativeResult",
     "DisjointSet",
     "GHS_TERMS",
     "GhostWeightVector",
@@ -86,7 +83,6 @@ __all__ = [
     "Partition",
     "REFERENCE_FORMS",
     "SeparatedForm",
-    "SpinConfig",
     "XPoly",
     "alpha",
     "alpha_table",

@@ -261,8 +261,11 @@ def compare_reference(table: AlphaTable) -> dict:
     Every class record carries the computed polynomial (common to the class
     when uniform), the reference form, and a match/mismatch verdict; a
     mismatch flags a possible erratum in the reference table.  The report
-    also cross-checks the computed entries against the reduced core
-    polynomial — an independent aggregation route.
+    also compares the entries with the reduced core polynomial
+    (``oracle_agreement``).  Both regroup the same 512 ``matrix_coefficient``
+    values, so that comparison catches an aggregation error but not an error
+    in a coefficient; the independent check of the coefficients is the
+    brute-force enumerator in ``tests/brute_force.py``.
     """
     from .separation import reduced_expansion
 

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -43,6 +42,10 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 FLOAT_SIGN_TOL = 1e-12
+# Largest r**(n_sites + 1) enumerated per instance; larger requests exit
+# with a capacity error before any work.  One exact instance at n=11, r=3
+# (3**12 = 531441) takes about 9 s on a 2-CPU Xeon VM under Python 3.11.
+MAX_CONFIGURATIONS = 10**6
 
 
 class UsageError(ValueError):
@@ -53,14 +56,57 @@ def _check(name: str, ok: bool, witness: dict) -> dict:
     return {"name": name, "status": "pass" if ok else "fail", "witness": witness}
 
 
-def _sign_ok(value: Fraction | float, n_states: int, tol: float = 0.0) -> bool:
-    if n_states == 2:
-        return value <= tol
-    return value >= -tol
-
-
 def _expected_sign(n_states: int) -> str:
     return "<=0" if n_states == 2 else ">=0"
+
+
+def _check_work(n_sites: int, n_states: int) -> None:
+    """Refuse an instance whose enumeration exceeds MAX_CONFIGURATIONS."""
+    # The exponent is capped so that huge sizes stay cheap to judge; at
+    # r >= 2 the cap alone already exceeds the bound.
+    if n_states ** min(n_sites + 1, 64) > MAX_CONFIGURATIONS:
+        raise CapacityError(
+            f"n_sites={n_sites}, r={n_states} needs r**(n_sites+1) configurations, "
+            f"more than the supported {MAX_CONFIGURATIONS}"
+        )
+
+
+def _sign_check(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
+    """Curvature-sign verdict and witness for the site triple (1, 2, 3): the
+    exact sum for exact weights, the float derivative for a physical model."""
+    r = instance.n_states
+    witness = {"n_states": r, "expected": _expected_sign(r)}
+    if isinstance(instance, GhostWeightVector):
+        value = ghs_sum(instance)
+        tol = 0
+        witness.update(instance=instance_digest(instance), value=rational_str(value))
+    else:
+        value = second_derivative_float(instance, 1, 2, 3)
+        tol = FLOAT_SIGN_TOL
+        witness.update(tolerance=tol, value=value)
+    ok = value <= tol if r == 2 else value >= -tol
+    return ok, witness
+
+
+def _trials(n: int, r: int, mode: str, trials: int, seed: int):
+    """Validate one (n, r) cell, then return its seeded trials lazily as
+    (k, ok, witness); a failing exact witness carries its model file."""
+    if trials < 1:
+        raise UsageError("--trials must be >= 1")
+    if n < 3:
+        raise UsageError("the verified site triple (1,2,3) needs n_sites >= 3")
+    _check_work(n, r)
+    draw = random_weights if mode == "exact" else random_model
+
+    def run():
+        for k in range(trials):
+            instance = draw(n, r, trial_rng(seed, k))
+            ok, witness = _sign_check(instance)
+            if not ok and mode == "exact":
+                witness["weights"] = dump_weights(instance)
+            yield k, ok, witness
+
+    return run()
 
 
 def _weights_to_model(weights: GhostWeightVector) -> ModelSpec:
@@ -84,67 +130,21 @@ def _weights_to_model(weights: GhostWeightVector) -> ModelSpec:
 
 
 def _cmd_verify_ghs(args) -> tuple:
-    checks = []
     if args.model:
         instance = load_model(args.model)
-        if isinstance(instance, GhostWeightVector):
-            value = ghs_sum(instance)
-            checks.append(
-                _check(
-                    "curvature-sign",
-                    _sign_ok(value, instance.n_states),
-                    {
-                        "instance": instance_digest(instance),
-                        "n_states": instance.n_states,
-                        "expected": _expected_sign(instance.n_states),
-                        "value": rational_str(value),
-                    },
-                )
-            )
-        else:
-            value = second_derivative_float(instance, 1, 2, 3)
-            checks.append(
-                _check(
-                    "curvature-sign-float",
-                    _sign_ok(value, instance.n_states, FLOAT_SIGN_TOL),
-                    {
-                        "n_states": instance.n_states,
-                        "expected": _expected_sign(instance.n_states),
-                        "tolerance": FLOAT_SIGN_TOL,
-                        "value": value,
-                    },
-                )
-            )
+        _check_work(instance.n_sites, instance.n_states)
+        ok, witness = _sign_check(instance)
+        exact = isinstance(instance, GhostWeightVector)
+        name = "curvature-sign" if exact else "curvature-sign-float"
         config = {"model": args.model, "mode": None, "trials": None, "seed": None}
-        return config, checks
+        return config, [_check(name, ok, witness)], {}
 
     if args.n_sites is None or args.r is None:
         raise UsageError("verify-ghs needs --model or both --n-sites and --r")
-    if args.n_sites < 3:
-        raise UsageError("the verified site triple (1,2,3) needs --n-sites >= 3")
-    for k in range(args.trials):
-        rng = trial_rng(args.seed, k)
-        if args.mode == "exact":
-            weights = random_weights(args.n_sites, args.r, rng)
-            value = ghs_sum(weights)
-            ok = _sign_ok(value, args.r)
-            witness = {
-                "instance": instance_digest(weights),
-                "expected": _expected_sign(args.r),
-                "value": rational_str(value),
-            }
-            if not ok:
-                witness["weights"] = dump_weights(weights)
-        else:
-            model = random_model(args.n_sites, args.r, rng)
-            value = second_derivative_float(model, 1, 2, 3)
-            ok = _sign_ok(value, args.r, FLOAT_SIGN_TOL)
-            witness = {
-                "expected": _expected_sign(args.r),
-                "tolerance": FLOAT_SIGN_TOL,
-                "value": value,
-            }
-        checks.append(_check(f"trial-{k:04d}", ok, witness))
+    checks = [
+        _check(f"trial-{k:04d}", ok, witness)
+        for k, ok, witness in _trials(args.n_sites, args.r, args.mode, args.trials, args.seed)
+    ]
     config = {
         "model": None,
         "n_sites": args.n_sites,
@@ -153,7 +153,7 @@ def _cmd_verify_ghs(args) -> tuple:
         "trials": args.trials,
         "seed": args.seed,
     }
-    return config, checks
+    return config, checks, {}
 
 
 def _cmd_derivative(args) -> tuple:
@@ -162,9 +162,11 @@ def _cmd_derivative(args) -> tuple:
     results = []
     if args.model:
         instance = load_model(args.model)
+        _check_work(instance.n_sites, instance.n_states)
     else:
         if args.n_sites is None or args.r is None:
             raise UsageError("derivative needs --model or both --n-sites and --r")
+        _check_work(args.n_sites, args.r)
         if args.mode == "exact":
             instance = random_weights(args.n_sites, args.r, trial_rng(args.seed, 0))
         else:
@@ -257,6 +259,7 @@ def _cmd_expand(args) -> tuple:
             raise UsageError("expand needs an exact-weights model")
         if weights.n_sites != args.n_sites:
             raise UsageError("--n-sites does not match the model file")
+        _check_work(weights.n_sites, weights.n_states)
         window = args.window if args.window is not None else len(order)
         poly = expand_partial(weights, window)
         value = xpoly_eval(poly, weights.x_values())
@@ -301,6 +304,8 @@ def _cmd_expand(args) -> tuple:
 
 
 def _cmd_separation_check(args) -> tuple:
+    if args.r is not None:
+        _check_work(args.n_sites, args.r)
     report = separation_check(
         args.n_sites,
         args.mode,
@@ -317,7 +322,7 @@ def _cmd_separation_check(args) -> tuple:
         "trials": args.trials,
         "seed": args.seed,
     }
-    return config, checks
+    return config, checks, {}
 
 
 def _cmd_alpha_table(args) -> tuple:
@@ -375,42 +380,26 @@ def _cmd_alpha_table(args) -> tuple:
 def _cmd_sweep(args) -> tuple:
     n_values = _parse_int_list(args.n_sites_list)
     r_values = _parse_int_list(args.r_list)
+    # Every cell is validated here, before the first trial runs.
+    cells = [
+        (n, r, _trials(n, r, args.mode, args.trials, args.seed))
+        for n in n_values
+        for r in r_values
+    ]
     checks = []
-    for n in n_values:
-        if n < 3:
-            raise UsageError("sweep cells need n_sites >= 3")
-        for r in r_values:
-            failures = []
-            for k in range(args.trials):
-                rng = trial_rng(args.seed, k)
-                if args.mode == "exact":
-                    weights = random_weights(n, r, rng)
-                    value = ghs_sum(weights)
-                    ok = _sign_ok(value, r)
-                    if not ok:
-                        failures.append(
-                            {
-                                "trial": k,
-                                "instance": instance_digest(weights),
-                                "value": rational_str(value),
-                            }
-                        )
-                else:
-                    model = random_model(n, r, rng)
-                    value = second_derivative_float(model, 1, 2, 3)
-                    if not _sign_ok(value, r, FLOAT_SIGN_TOL):
-                        failures.append({"trial": k, "value": value})
-            checks.append(
-                _check(
-                    f"cell-n{n}-r{r}",
-                    not failures,
-                    {
-                        "trials": args.trials,
-                        "expected": _expected_sign(r),
-                        "failures": failures,
-                    },
-                )
+    for n, r, trials in cells:
+        failures = [{"trial": k, **witness} for k, ok, witness in trials if not ok]
+        checks.append(
+            _check(
+                f"cell-n{n}-r{r}",
+                not failures,
+                {
+                    "trials": args.trials,
+                    "expected": _expected_sign(r),
+                    "failures": failures,
+                },
             )
+        )
     config = {
         "n_sites_list": list(n_values),
         "r_list": list(r_values),
@@ -418,7 +407,7 @@ def _cmd_sweep(args) -> tuple:
         "trials": args.trials,
         "seed": args.seed,
     }
-    return config, checks
+    return config, checks, {}
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -534,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        outcome = args.func(args)
+        config, checks, extras = args.func(args)
     except (ModelFileError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -544,8 +533,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    config, checks = outcome[0], outcome[1]
-    extras = outcome[2] if len(outcome) > 2 else None
     seconds = time.perf_counter() - start
     report = build_report(args.command, config, checks, extras, seconds)
 
@@ -562,7 +549,9 @@ def main(argv: list[str] | None = None) -> int:
         f"({summary['status']})"
     )
     if args.output:
-        Path(args.output).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        Path(args.output).write_text(
+            json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        )
         print(f"report written to {args.output}")
     return EXIT_PASS if summary["status"] == "pass" else EXIT_CHECK_FAILURE
 

@@ -37,6 +37,13 @@ GHS_TERMS: tuple[tuple[int, tuple[tuple[tuple[int, int], ...], ...]], ...] = (
     (+2, (((0, 1),), ((0, 2),), ((0, 3),))),
 )
 
+# The 8 distinct built-in equality sets of GHS_TERMS, in order of first use,
+# and each term with its three factors re-indexed into that tuple.
+GHS_FACTORS = tuple(dict.fromkeys(eqs for _, triple in GHS_TERMS for eqs in triple))
+GHS_FACTOR_TERMS = tuple(
+    (sign, tuple(GHS_FACTORS.index(eqs) for eqs in triple)) for sign, triple in GHS_TERMS
+)
+
 
 @dataclass(frozen=True)
 class ConstraintMatrix:

@@ -16,16 +16,16 @@ values numerically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .constraints import GHS_TERMS, constrained_sum
+from .constraints import GHS_FACTOR_TERMS, GHS_FACTORS, constrained_sum
+from .expansion import CapacityError
 from .model import (
     GhostWeightVector,
     ModelSpec,
-    instance_digest,
     model_weights_float,
     pair_order,
     relabel_sites,
@@ -33,16 +33,6 @@ from .model import (
 )
 
 FD_PRECISION_DPS = 40
-
-
-@dataclass(frozen=True)
-class DerivativeResult:
-    """A computed second derivative with its method and provenance."""
-
-    value: Fraction | float
-    method: str  # "analytic" | "finite-difference" | "via-curvature-sum"
-    site_triple: tuple[int, int, int]
-    instance: str
 
 
 def _check_sites(n_sites: int, *sites: int) -> None:
@@ -64,19 +54,21 @@ def first_derivative(weights: GhostWeightVector, i: int, k: int) -> Fraction:
     return cik / z - (ci / z) * (ck / z)
 
 
-def second_derivative_analytic(
-    weights: GhostWeightVector, i: int, j: int, k: int
-) -> Fraction:
-    """d^2 m_i / (d B_j d B_k), exactly, via truncated triple correlations."""
-    _check_sites(weights.n_sites, i, j, k)
+def _truncated_triple(weight_seq, n_sites: int, n_states: int, i, j, k, one):
+    """The five-term truncated triple correlation in the ring of ``one``."""
+    _check_sites(n_sites, i, j, k)
     sums = weighted_sums(
-        weights.weights,
-        weights.n_sites,
-        weights.n_states,
+        weight_seq,
+        n_sites,
+        n_states,
         [(), {i, j, k}, {i, k}, {i, j}, {j, k}, {i}, {j}, {k}],
-        Fraction(1),
+        one,
     )
     z, cijk, cik, cij, cjk, ci, cj, ck = sums
+    # z bounds every other sum, so a finite z keeps each ratio in [0, 1];
+    # z * 0 == 0 fails only when a float z has overflowed to inf or NaN.
+    if z * 0 != 0:
+        raise CapacityError("the partition sum overflows double precision")
     return (
         cijk / z
         - (cik / z) * (cj / z)
@@ -86,26 +78,24 @@ def second_derivative_analytic(
     )
 
 
+def second_derivative_analytic(
+    weights: GhostWeightVector, i: int, j: int, k: int
+) -> Fraction:
+    """d^2 m_i / (d B_j d B_k), exactly, via truncated triple correlations."""
+    return _truncated_triple(
+        weights.weights, weights.n_sites, weights.n_states, i, j, k, Fraction(1)
+    )
+
+
 def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
     """The analytic second derivative in double precision, from a physical
-    model (weights e**J); used for float-domain spot checks."""
-    _check_sites(model.n_sites, i, j, k)
-    tw = model_weights_float(model)
-    sums = weighted_sums(
-        tw,
-        model.n_sites,
-        model.n_states,
-        [(), {i, j, k}, {i, k}, {i, j}, {j, k}, {i}, {j}, {k}],
-        1.0,
-    )
-    z, cijk, cik, cij, cjk, ci, cj, ck = sums
-    return (
-        cijk / z
-        - (cik / z) * (cj / z)
-        - (cij / z) * (ck / z)
-        - (cjk / z) * (ci / z)
-        + 2.0 * (ci / z) * (cj / z) * (ck / z)
-    )
+    model (weights e**J); used for float-domain spot checks.  Raises
+    CapacityError when a weight or the partition sum overflows."""
+    try:
+        tw = model_weights_float(model)
+    except OverflowError as exc:
+        raise CapacityError("a pair weight e**J overflows double precision") from exc
+    return _truncated_triple(tw, model.n_sites, model.n_states, i, j, k, 1.0)
 
 
 def _mp_magnetization(model: ModelSpec, i: int, shifts: dict[int, mp.mpf]):
@@ -131,8 +121,8 @@ def second_derivative_fd(
     returned value is a float.
     """
     _check_sites(model.n_sites, i, j, k)
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError("step h must be positive and finite")
     with mp.workdps(FD_PRECISION_DPS):
         step = mp.mpf(h)
         if j == k:
@@ -159,19 +149,10 @@ def ghs_sum(weights: GhostWeightVector) -> Fraction:
     if weights.n_sites < 3:
         raise ValueError("the curvature sum needs n_sites >= 3")
     all_pairs = pair_order(weights.n_sites).pairs
-    cache: dict[tuple, Fraction] = {}
-
-    def factor(eqs: tuple[tuple[int, int], ...]) -> Fraction:
-        if eqs not in cache:
-            cache[eqs] = constrained_sum(weights, eqs, all_pairs)
-        return cache[eqs]
-
+    factors = [constrained_sum(weights, eqs, all_pairs) for eqs in GHS_FACTORS]
     total = Fraction(0)
-    for sign, builtins in GHS_TERMS:
-        prod = Fraction(1)
-        for eqs in builtins:
-            prod *= factor(eqs)
-        total += sign * prod
+    for sign, (b1, b2, b3) in GHS_FACTOR_TERMS:
+        total += sign * (factors[b1] * factors[b2] * factors[b3])
     return total
 
 
@@ -194,14 +175,3 @@ def second_derivative_via_sum(
     r = weights.n_states
     z = weighted_sums(moved.weights, moved.n_sites, r, [()], Fraction(1))[0]
     return ghs_sum(moved) / (Fraction(r) ** 3 * z**3)
-
-
-def analytic_result(
-    weights: GhostWeightVector, i: int, j: int, k: int
-) -> DerivativeResult:
-    return DerivativeResult(
-        value=second_derivative_analytic(weights, i, j, k),
-        method="analytic",
-        site_triple=(i, j, k),
-        instance=instance_digest(weights),
-    )

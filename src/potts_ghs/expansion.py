@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .constraints import GHS_TERMS, constrained_sum
+from .constraints import GHS_FACTOR_TERMS, GHS_FACTORS, constrained_sum
 from .laurent import LaurentPoly
 from .model import GhostWeightVector, pair_order
 from .partitions import block_count
@@ -28,24 +28,29 @@ class CapacityError(Exception):
     """A request exceeds the supported exact-enumeration size."""
 
 
-def _distinct_builtins():
-    """The distinct built-in equality sets across the five terms, plus the
-    term structure re-indexed into that list."""
-    builtins: list[tuple[tuple[int, int], ...]] = []
-    index: dict[tuple[tuple[int, int], ...], int] = {}
-    terms = []
-    for sign, triple in GHS_TERMS:
-        idxs = []
-        for eqs in triple:
-            if eqs not in index:
-                index[eqs] = len(builtins)
-                builtins.append(eqs)
-            idxs.append(index[eqs])
-        terms.append((sign, tuple(idxs)))
-    return tuple(builtins), tuple(terms)
+def _factor_product(window: dict[int, tuple[int, int]], coefficient) -> XPoly:
+    """The five-term signed combination of factor polynomials over a window.
 
-
-_BUILTINS, _TERMS = _distinct_builtins()
+    ``window`` maps the expanded pair indices to their site pairs.  The
+    factor with built-in equalities ``eqs`` has one monomial per subset of
+    the window, the product of its X_p, with coefficient
+    ``coefficient(eqs + the subset's pairs)``.
+    """
+    items = tuple(window.items())
+    subsets = []
+    for mask in range(1 << len(items)):
+        chosen = [items[b] for b in range(len(items)) if mask >> b & 1]
+        mono = monomial_key({p: 1 for p, _ in chosen})
+        subsets.append((mono, tuple(pair for _, pair in chosen)))
+    factor_polys = [
+        XPoly({mono: coefficient(eqs + pairs) for mono, pairs in subsets})
+        for eqs in GHS_FACTORS
+    ]
+    total = XPoly.zero()
+    for sign, (b1, b2, b3) in GHS_FACTOR_TERMS:
+        term_poly = factor_polys[b1] * factor_polys[b2] * factor_polys[b3]
+        total = total + sign * term_poly
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -60,27 +65,10 @@ def expand_full(n_sites: int) -> XPoly:
         raise CapacityError(
             f"full expansion is supported at n_sites=3 only (got {n_sites})"
         )
-    order = pair_order(n_sites)
-    n_pairs = len(order)
-    subset_pairs = [
-        tuple(order.pairs[p] for p in range(n_pairs) if mask >> p & 1)
-        for mask in range(1 << n_pairs)
-    ]
-    factor_polys = []
-    for eqs in _BUILTINS:
-        terms = {}
-        for mask in range(1 << n_pairs):
-            s = block_count(n_sites, eqs + subset_pairs[mask])
-            mono = monomial_key(
-                {p: 1 for p in range(n_pairs) if mask >> p & 1}
-            )
-            terms[mono] = LaurentPoly({s: 1})
-        factor_polys.append(XPoly(terms))
-    total = XPoly.zero()
-    for sign, (b1, b2, b3) in _TERMS:
-        term_poly = factor_polys[b1] * factor_polys[b2] * factor_polys[b3]
-        total = total + sign * term_poly
-    return total
+    return _factor_product(
+        dict(enumerate(pair_order(n_sites).pairs)),
+        lambda eqs: LaurentPoly({block_count(n_sites, eqs): 1}),
+    )
 
 
 MAX_DENSE_WINDOW = 6
@@ -104,21 +92,8 @@ def expand_partial(weights: GhostWeightVector, s: int) -> XPoly:
             f"dense window of {s} pairs exceeds the supported size "
             f"({MAX_DENSE_WINDOW}); pick a smaller window"
         )
-    window = list(range(n_pairs - s, n_pairs))
     carried = order.pairs[: n_pairs - s]
-    factor_polys = []
-    for eqs in _BUILTINS:
-        terms = {}
-        for mask in range(1 << s):
-            chosen = tuple(order.pairs[window[b]] for b in range(s) if mask >> b & 1)
-            value = constrained_sum(weights, eqs + chosen, carried)
-            mono = monomial_key(
-                {window[b]: 1 for b in range(s) if mask >> b & 1}
-            )
-            terms[mono] = value
-        factor_polys.append(XPoly(terms))
-    total = XPoly.zero()
-    for sign, (b1, b2, b3) in _TERMS:
-        term_poly = factor_polys[b1] * factor_polys[b2] * factor_polys[b3]
-        total = total + sign * term_poly
-    return total
+    return _factor_product(
+        {p: order.pairs[p] for p in range(n_pairs - s, n_pairs)},
+        lambda eqs: constrained_sum(weights, eqs, carried),
+    )

@@ -67,23 +67,8 @@ def pair_order(n_sites: int) -> PairOrder:
 
 
 @dataclass(frozen=True)
-class SpinConfig:
-    """An assignment of spins; the ghost spin, when present, comes first."""
-
-    spins: tuple[int, ...]
-    ghost_included: bool = False
-
-    def site_spin(self, i: int) -> int:
-        if self.ghost_included:
-            return self.spins[i]
-        if i == 0:
-            return 1
-        return self.spins[i - 1]
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """Physical parameters: real couplings J and fields B (both >= 0)."""
+    """Physical parameters: finite real couplings J and fields B (both >= 0)."""
 
     n_sites: int
     n_states: int
@@ -102,11 +87,11 @@ class ModelSpec:
         for (i, j), val in dict(self.couplings).items():
             if not (1 <= i < j <= self.n_sites):
                 raise ValueError(f"coupling pair ({i}, {j}) out of range")
-            if val < 0:
-                raise ValueError("ferromagnetic couplings must be >= 0")
+            if not (math.isfinite(val) and val >= 0):
+                raise ValueError("ferromagnetic couplings must be finite and >= 0")
             clean[(i, j)] = float(val)
-        if any(b < 0 for b in fields):
-            raise ValueError("fields must be >= 0")
+        if not all(math.isfinite(b) and b >= 0 for b in fields):
+            raise ValueError("fields must be finite and >= 0")
         object.__setattr__(self, "couplings", clean)
         object.__setattr__(self, "fields", tuple(float(b) for b in fields))
 
@@ -173,17 +158,9 @@ class GhostWeightVector:
         return {p: t - 1 for p, t in enumerate(self.weights)}
 
 
-def energy(model: ModelSpec, config: SpinConfig | Sequence[int]) -> float:
-    """Interaction energy of a spin configuration (ghost pinned to state 1)."""
-    if isinstance(config, SpinConfig):
-        if config.ghost_included:
-            spins = config.spins
-            if spins[0] != 1:
-                raise ValueError("the ghost spin must be in state 1")
-        else:
-            spins = (1,) + tuple(config.spins)
-    else:
-        spins = (1,) + tuple(config)
+def energy(model: ModelSpec, config: Sequence[int]) -> float:
+    """Interaction energy of the spins of sites 1..N (ghost pinned to state 1)."""
+    spins = (1,) + tuple(config)
     if len(spins) != model.n_sites + 1:
         raise ValueError("configuration length does not match n_sites")
     if any(not 1 <= s <= model.n_states for s in spins):

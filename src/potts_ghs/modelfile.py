@@ -5,11 +5,12 @@ A model file is JSON with keys ``n_sites``, ``n_states``, ``mode``
 ``fields`` (list of per-site values).  In exact-weights mode the values are
 pair weights t >= 1 written as exact rationals — "p/q" strings or JSON
 integers; any float is rejected.  In physical mode the values are real
-couplings J >= 0 and fields B >= 0, and JSON numbers are accepted.
+couplings J >= 0 and fields B >= 0, and finite JSON numbers are accepted.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -55,7 +56,13 @@ def rational_str(q: Fraction) -> str:
 def _parse_number(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFileError(f"not a number: {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelFileError(f"non-finite value {number!r} in a physical model")
+    return number
 
 
 def load_model(path: str | Path) -> GhostWeightVector | ModelSpec:

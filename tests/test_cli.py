@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -426,6 +427,131 @@ def test_sweep_mixed_states_fails():
 def test_sweep_rejects_small_sizes():
     result = run_cli("sweep", "--n-sites-list", "2", "--r-list", "2")
     assert result.returncode == 2
+
+
+def test_sweep_failures_carry_replayable_witnesses(tmp_path):
+    out = tmp_path / "report.json"
+    result = run_cli(
+        "sweep", "--n-sites-list", "3", "--r-list", "3", "--trials", "2",
+        "--output", str(out),
+    )
+    assert result.returncode == 1
+    failures = load_report(out)["checks"][0]["witness"]["failures"]
+    assert failures
+    for failure in failures:
+        model = write_exact_model(tmp_path, failure["weights"], "replay.json")
+        replay = run_cli("verify-ghs", "--model", model, "--output", str(out))
+        assert replay.returncode == 1
+        witness = load_report(out)["checks"][0]["witness"]
+        assert witness["instance"] == failure["instance"]
+        assert witness["value"] == failure["value"]
+
+
+# ---------------------------------------------------------------------------
+# input validation and work bounds
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_non_positive_trials(trials):
+    result = run_cli("verify-ghs", "--n-sites", "4", "--r", "3", "--trials", trials)
+    assert result.returncode == 2
+    assert "--trials" in result.stderr
+
+
+def test_sweep_rejects_zero_trials():
+    result = run_cli("sweep", "--n-sites-list", "3", "--r-list", "3", "--trials", "0")
+    assert result.returncode == 2
+    assert "--trials" in result.stderr
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Make every curvature computation the CLI calls fail the test."""
+    from potts_ghs import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    for name in (
+        "ghs_sum",
+        "second_derivative_analytic",
+        "second_derivative_float",
+        "second_derivative_fd",
+    ):
+        monkeypatch.setattr(cli, name, forbidden)
+    return cli
+
+
+def test_sweep_checks_every_cell_before_the_first_runs(no_enumeration):
+    argv = ["sweep", "--n-sites-list", "3,2", "--r-list", "3"]
+    assert no_enumeration.main(argv) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-ghs", "--n-sites", "12", "--r", "5"],
+        ["verify-ghs", "--n-sites", "12", "--r", "5", "--mode", "float"],
+        ["derivative", "--n-sites", "12", "--r", "5", "--i", "1", "--j", "2", "--k", "3"],
+        ["sweep", "--n-sites-list", "3,12", "--r-list", "5"],
+    ],
+)
+def test_oversized_requests_exit_before_any_work(no_enumeration, capsys, argv):
+    start = time.perf_counter()
+    assert no_enumeration.main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "capacity" in capsys.readouterr().err
+
+
+def physical_model(tmp_path, coupling, field=0.0):
+    doc = {
+        "n_sites": 3,
+        "n_states": 3,
+        "mode": "physical",
+        "couplings": [[1, 2, coupling], [1, 3, coupling], [2, 3, coupling]],
+        "fields": [field] * 3,
+    }
+    # json.dumps writes a NaN coupling as the non-standard literal NaN,
+    # which Python's json module reads back.
+    return write_exact_model(tmp_path, doc, "physical.json")
+
+
+def test_physical_model_with_nan_coupling_is_rejected(tmp_path):
+    model = physical_model(tmp_path, float("nan"))
+    out = tmp_path / "report.json"
+    result = run_cli("verify-ghs", "--model", model, "--output", str(out))
+    assert result.returncode == 2
+    assert "non-finite" in result.stderr
+    assert not out.exists()
+
+
+def test_float_overflow_of_the_sum_is_a_capacity_error(tmp_path):
+    # e**200 is a finite double, but products of six such weights are not.
+    model = physical_model(tmp_path, 200.0, 200.0)
+    result = run_cli("verify-ghs", "--model", model)
+    assert result.returncode == 3
+    assert "capacity" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-ghs"], ["derivative", "--i", "1", "--j", "2", "--k", "3"]],
+)
+def test_overflowing_weight_is_a_capacity_error(tmp_path, argv):
+    model = physical_model(tmp_path, 800.0)
+    result = run_cli(*argv, "--model", model)
+    assert result.returncode == 3
+    assert "capacity" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_derivative_rejects_nan_step():
+    result = run_cli(
+        "derivative", "--n-sites", "3", "--r", "3",
+        "--i", "1", "--j", "2", "--k", "3", "--h-step", "nan",
+    )
+    assert result.returncode == 2
+    assert "step" in result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from fractions import Fraction
 import pytest
 
 from potts_ghs import (
+    CapacityError,
     GhostWeightVector,
     ModelSpec,
     first_derivative,
     ghs_sum,
-    instance_digest,
     pair_order,
     partition_function,
     random_model,
@@ -28,7 +28,6 @@ from potts_ghs import (
     second_derivative_via_sum,
     trial_rng,
 )
-from potts_ghs.derivatives import analytic_result
 
 
 def model_from_weights(weights: GhostWeightVector) -> ModelSpec:
@@ -230,14 +229,19 @@ def test_fd_rejects_nonpositive_step():
         second_derivative_fd(model, 1, 2, 3, h=0.0)
 
 
-# ---------------------------------------------------------------------------
-# result wrapper
+@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+def test_fd_rejects_non_finite_step(h):
+    model = random_model(3, 2, trial_rng("fd-step", 0))
+    with pytest.raises(ValueError, match="step"):
+        second_derivative_fd(model, 1, 2, 3, h=h)
 
 
-def test_analytic_result_fields():
-    w = random_weights(3, 3, random.Random("deriv:9"))
-    result = analytic_result(w, 1, 2, 3)
-    assert result.method == "analytic"
-    assert result.site_triple == (1, 2, 3)
-    assert result.instance == instance_digest(w)
-    assert result.value == second_derivative_analytic(w, 1, 2, 3)
+def test_float_derivative_overflow_is_a_capacity_error():
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    # e**800 overflows a double; e**200 does not, but the partition sum does.
+    model = ModelSpec(3, 3, {pair: 800.0 for pair in pairs})
+    with pytest.raises(CapacityError, match="pair weight"):
+        second_derivative_float(model, 1, 2, 3)
+    model = ModelSpec(3, 3, {pair: 200.0 for pair in pairs}, (200.0,) * 3)
+    with pytest.raises(CapacityError, match="partition sum"):
+        second_derivative_float(model, 1, 2, 3)

@@ -7,7 +7,6 @@ import pytest
 from potts_ghs import (
     GhostWeightVector,
     ModelSpec,
-    SpinConfig,
     correlator,
     energy,
     instance_digest,
@@ -84,9 +83,6 @@ def test_energy_examples():
     assert energy(model, (2, 2)) == pytest.approx(0.7)
     assert energy(model, (1, 2)) == pytest.approx(0.3)
     assert energy(model, (1, 1)) == pytest.approx(0.7 + 0.3)
-    assert energy(model, SpinConfig((1, 1, 2), ghost_included=True)) == pytest.approx(
-        0.3
-    )
 
 
 def test_partition_function_trivial_values():
@@ -155,6 +151,11 @@ def test_model_spec_validation():
         ModelSpec(2, 3, {}, (0.1,))
     with pytest.raises(ValueError):
         ModelSpec(2, 3, {}, (0.1, -0.2))
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(2, 3, {(1, 2): value})
+        with pytest.raises(ValueError, match="finite"):
+            ModelSpec(2, 3, {}, (0.1, value))
     model = ModelSpec(2, 3, {(1, 2): 0.5})
     assert model.fields == (0.0, 0.0)
     assert model.coupling(2, 1) == 0.5

@@ -151,6 +151,21 @@ def test_load_physical_rejects_negative_coupling(tmp_path):
         load_model(write_model(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"]
+)
+def test_load_physical_rejects_non_finite_value(tmp_path, value):
+    # json.dumps writes NaN and Infinity literals, which json.loads accepts.
+    for place in ("coupling", "field"):
+        doc = physical_doc()
+        if place == "coupling":
+            doc["couplings"][0][2] = value
+        else:
+            doc["fields"][0] = value
+        with pytest.raises(ModelFileError, match="non-finite"):
+            load_model(write_model(tmp_path, doc))
+
+
 def test_load_physical_rejects_non_numeric_value(tmp_path):
     doc = physical_doc()
     doc["fields"][0] = "0.3"
