@@ -31,7 +31,6 @@ from .constraints import (
     ConstraintMatrix,
     constrained_sum,
     matrix_coefficient,
-    matrix_sum_value,
 )
 from .derivatives import (
     first_derivative,
@@ -65,7 +64,6 @@ from .separation import (
     reduced_expansion,
     separation_check,
     separated_form,
-    separation_factors,
 )
 from .xpoly import XPoly, monomial_key, substitute, xpoly_eval, xpoly_records
 
@@ -103,7 +101,6 @@ __all__ = [
     "load_model",
     "magnetization",
     "matrix_coefficient",
-    "matrix_sum_value",
     "merge_constraints",
     "monomial_key",
     "pair_order",
@@ -121,7 +118,6 @@ __all__ = [
     "second_derivative_via_sum",
     "separation_check",
     "separated_form",
-    "separation_factors",
     "sign_report",
     "substitute",
     "table_export",

@@ -261,11 +261,13 @@ def compare_reference(table: AlphaTable) -> dict:
     Every class record carries the computed polynomial (common to the class
     when uniform), the reference form, and a match/mismatch verdict; a
     mismatch flags a possible erratum in the reference table.  The report
-    also compares the entries with the reduced core polynomial
-    (``oracle_agreement``).  Both regroup the same 512 ``matrix_coefficient``
-    values, so that comparison catches an aggregation error but not an error
-    in a coefficient; the independent check of the coefficients is the
-    brute-force enumerator in ``tests/brute_force.py``.
+    also cross-checks the entries against the reduced core polynomial
+    (``oracle_agreement``).  The two come by different routes: the table
+    sums ``matrix_coefficient`` over the constraint matrices of each row
+    profile, while the core is the expansion's factor product of
+    r**(block count) over the three core pairs.  The check against the
+    definition itself is the brute-force enumerator in
+    ``tests/brute_force.py``.
     """
     from .separation import reduced_expansion
 

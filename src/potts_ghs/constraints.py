@@ -50,21 +50,14 @@ class ConstraintMatrix:
     """A 0/1 matrix with one row per pair and three columns.
 
     ``entries`` holds the nonzero rows only, keyed by pair index in
-    pair_order(n_sites).  ``active_window`` restricts where nonzero rows may
-    live: only the last ``active_window`` pairs of the order may carry them
-    (None means the full window, i.e. all pairs).
+    pair_order(n_sites).
     """
 
     n_sites: int
     entries: tuple[tuple[int, tuple[int, int, int]], ...]
-    active_window: int | None = None
 
     def __post_init__(self):
-        order = pair_order(self.n_sites)
-        n_pairs = len(order)
-        window = n_pairs if self.active_window is None else self.active_window
-        if not 0 <= window <= n_pairs:
-            raise ValueError(f"active_window must be in [0, {n_pairs}]")
+        n_pairs = len(pair_order(self.n_sites))
         rows = []
         seen = set()
         for p, row in self.entries:
@@ -76,39 +69,21 @@ class ConstraintMatrix:
             seen.add(p)
             if len(row) != 3 or any(a not in (0, 1) for a in row):
                 raise ValueError(f"row {row!r} must be three 0/1 entries")
-            if row == (0, 0, 0):
-                continue
-            if p < n_pairs - window:
-                raise ValueError(
-                    f"nonzero row at pair index {p} lies outside the active window"
-                )
-            rows.append((p, row))
+            if row != (0, 0, 0):
+                rows.append((p, row))
         rows.sort()
         object.__setattr__(self, "entries", tuple(rows))
 
     @classmethod
     def from_rows(
-        cls,
-        n_sites: int,
-        rows: Mapping[int, tuple[int, int, int]],
-        active_window: int | None = None,
+        cls, n_sites: int, rows: Mapping[int, tuple[int, int, int]]
     ) -> "ConstraintMatrix":
-        return cls(n_sites, tuple(rows.items()), active_window)
-
-    def row(self, p: int) -> tuple[int, int, int]:
-        for q, r in self.entries:
-            if q == p:
-                return r
-        return (0, 0, 0)
+        return cls(n_sites, tuple(rows.items()))
 
     def column_pairs(self, c: int) -> tuple[tuple[int, int], ...]:
         """Site pairs whose equality enters factor c (0-based column)."""
         order = pair_order(self.n_sites)
         return tuple(order.pairs[p] for p, row in self.entries if row[c])
-
-    def exponent_profile(self) -> dict[int, int]:
-        """Row weights n(p) = a(p,1)+a(p,2)+a(p,3), keyed by pair index."""
-        return {p: sum(row) for p, row in self.entries}
 
 
 def constrained_sum(
@@ -155,15 +130,12 @@ def constrained_sum(
 
 
 def matrix_coefficient(matrix: ConstraintMatrix) -> LaurentPoly:
-    """Signed Laurent coefficient of a full-window constraint matrix.
+    """Signed Laurent coefficient of a constraint matrix.
 
     Each of the five terms contributes sign * r**(S1 + S2 + S3), where S_c is
     the block count of the partition of {0, ..., n_sites} generated by the
     built-in equalities of factor c together with the pairs of column c.
     """
-    order = pair_order(matrix.n_sites)
-    if matrix.active_window not in (None, len(order)):
-        raise ValueError("matrix coefficients are defined on the full window only")
     columns = [matrix.column_pairs(c) for c in range(3)]
     coeffs: dict[int, int] = {}
     for sign, builtins in GHS_TERMS:
@@ -172,20 +144,3 @@ def matrix_coefficient(matrix: ConstraintMatrix) -> LaurentPoly:
             exp += block_count(matrix.n_sites, builtins[c] + columns[c])
         coeffs[exp] = coeffs.get(exp, 0) + sign
     return LaurentPoly(coeffs)
-
-
-def matrix_sum_value(matrix: ConstraintMatrix, weights: GhostWeightVector) -> Fraction:
-    """Five-term signed combination of constrained sums with no active pairs.
-
-    With all weights trivial this reduces every factor to r**(block count),
-    so the value equals matrix_coefficient(matrix) evaluated at r — the dual
-    route used to cross-check the symbolic coefficient.
-    """
-    columns = [matrix.column_pairs(c) for c in range(3)]
-    total = Fraction(0)
-    for sign, builtins in GHS_TERMS:
-        prod_val = Fraction(1)
-        for c in range(3):
-            prod_val *= constrained_sum(weights, builtins[c] + columns[c], ())
-        total += sign * prod_val
-    return total

@@ -11,7 +11,9 @@ term is the product of its three factor polynomials.
 ``expand_full`` keeps the full pair window symbolically (supported at
 n_sites = 3, where the window has 6 pairs and 2**6 subsets per factor);
 ``expand_partial`` expands only the last s pairs of the order, carrying the
-remaining pairs exactly inside numeric constrained sums.
+remaining pairs exactly inside numeric constrained sums;
+``separation.reduced_expansion`` runs the symbolic product over the three
+core pairs alone.
 """
 from __future__ import annotations
 

@@ -66,6 +66,13 @@ def pair_order(n_sites: int) -> PairOrder:
     return PairOrder(n_sites)
 
 
+def _finite_nonnegative(value) -> bool:
+    try:
+        return math.isfinite(value) and value >= 0
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Physical parameters: finite real couplings J and fields B (both >= 0)."""
@@ -87,10 +94,10 @@ class ModelSpec:
         for (i, j), val in dict(self.couplings).items():
             if not (1 <= i < j <= self.n_sites):
                 raise ValueError(f"coupling pair ({i}, {j}) out of range")
-            if not (math.isfinite(val) and val >= 0):
+            if not _finite_nonnegative(val):
                 raise ValueError("ferromagnetic couplings must be finite and >= 0")
             clean[(i, j)] = float(val)
-        if not all(math.isfinite(b) and b >= 0 for b in fields):
+        if not all(_finite_nonnegative(b) for b in fields):
             raise ValueError("fields must be finite and >= 0")
         object.__setattr__(self, "couplings", clean)
         object.__setattr__(self, "fields", tuple(float(b) for b in fields))
@@ -223,17 +230,9 @@ def pinned_sum(weights: GhostWeightVector, sites: Iterable[int]) -> Fraction:
     )[0]
 
 
-def partition_function(weights: GhostWeightVector, ghost_mode: str = "fixed") -> Fraction:
-    """Exact partition function, with the ghost spin fixed at 1 or summed."""
-    if ghost_mode == "fixed":
-        return pinned_sum(weights, ())
-    if ghost_mode == "summed":
-        # Summing the ghost over all r states multiplies the fixed-ghost sum
-        # by r: relabelling states maps the ghost-at-s slice onto ghost-at-1.
-        from .constraints import constrained_sum
-
-        return constrained_sum(weights, (), pair_order(weights.n_sites).pairs)
-    raise ValueError("ghost_mode must be 'fixed' or 'summed'")
+def partition_function(weights: GhostWeightVector) -> Fraction:
+    """Exact partition function, with the ghost spin fixed at 1."""
+    return pinned_sum(weights, ())
 
 
 def correlator(weights: GhostWeightVector, sites: Iterable[int]) -> Fraction:

@@ -9,13 +9,16 @@ univariate factor in its own deviation X_p:
   * the three field pairs (0,1), (0,2), (0,3):
         1 + (1 + 2/r) X + (2/r + 1/r**2) X**2 + (1/r**2) X**3
 
-times the reduced core polynomial in the three core deviations, whose
-coefficients are the 64 aggregated table entries.  That holds only on a
-slice.  At n_sites = 3 the assembled form agrees with the full expansion on
-the 54 monomials free of the field variables X_01, X_02, X_03 (the
-zero-field slice) and on none of the 3402 that carry one: at r = 2 every
-core coefficient vanishes, so the assembled form is identically zero while
-the curvature sum is not.  At larger sizes the evaluated form equals the
+times the reduced core polynomial in the three core deviations.  The core
+is the expansion restricted to the three core pairs (every other weight 1),
+built by the same factor product as ``expand_full``; its coefficients are
+the 64 table entries, which ``alpha`` aggregates independently over the
+constraint matrices.  The factorization holds only on a slice.  At
+n_sites = 3 the assembled form agrees with the full expansion on the 54
+monomials free of the field variables X_01, X_02, X_03 (the zero-field
+slice) and on none of the 3402 that carry one: at r = 2 every core
+coefficient vanishes, so the assembled form is identically zero while the
+curvature sum is not.  At larger sizes the evaluated form equals the
 direct curvature sum on seeded instances whose field pairs, and every bulk
 pair other than the ghost pairs (0, j) with j > 3, carry weight 1.  It
 fails once the bulk pairs close a cycle through the core or the ghost:
@@ -26,17 +29,16 @@ against the direct curvature sum.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
-from .constraints import ConstraintMatrix, matrix_coefficient
 from .derivatives import ghs_sum
-from .expansion import expand_full
+from .expansion import _factor_product, expand_full
 from .laurent import LaurentPoly
 from .model import GhostWeightVector, instance_digest, pair_order
 from .modelfile import rational_str
+from .partitions import block_count
 from .sampling import random_weights, trial_rng
 from .xpoly import XPoly, xpoly_eval
 
@@ -59,11 +61,7 @@ FIELD_COEFFS: tuple[LaurentPoly, ...] = (
 
 @dataclass(frozen=True)
 class SeparatedForm:
-    """Factored shape of the expansion: per-pair factors times a core.
-
-    ``separation_factors`` builds the factor skeleton with an empty core;
-    ``separated_form`` fills in the reduced core polynomial.
-    """
+    """Factored shape of the expansion: per-pair factors times the core."""
 
     n_sites: int
     field_pairs: tuple[int, ...]
@@ -81,51 +79,30 @@ def factor_poly(coeffs: tuple[LaurentPoly, ...], p: int) -> XPoly:
 def reduced_expansion(n_sites: int) -> XPoly:
     """The core polynomial: monomials in the three core deviations only.
 
-    Aggregates the signed coefficients of all 512 constraint matrices
-    supported on the core pairs, each matrix contributing its coefficient to
-    the monomial X_{p1}**n(p1) X_{p2}**n(p2) X_{p3}**n(p3).
+    It is the factor product of the expansion over the window of the three
+    core pairs, each factor coefficient r**(block count); every other pair
+    weight is 1.
     """
     order = pair_order(n_sites)
-    p1, p2, p3 = order.core_indices
-    rows = list(product((0, 1), repeat=3))
-    terms: dict = {}
-    for row1 in rows:
-        for row2 in rows:
-            for row3 in rows:
-                matrix = ConstraintMatrix(
-                    n_sites, ((p1, row1), (p2, row2), (p3, row3))
-                )
-                coeff = matrix_coefficient(matrix)
-                mono = tuple(
-                    (p, sum(row))
-                    for p, row in ((p1, row1), (p2, row2), (p3, row3))
-                    if sum(row)
-                )
-                terms[mono] = terms.get(mono, LaurentPoly.zero()) + coeff
-    return XPoly(terms)
-
-
-@lru_cache(maxsize=None)
-def separation_factors(n_sites: int) -> SeparatedForm:
-    """The factor skeleton at a given size: per-pair factors, core empty."""
-    order = pair_order(n_sites)
-    field = order.field_indices
-    bulk = order.bulk_indices
-    factors = {p: factor_poly(FIELD_COEFFS, p) for p in field}
-    factors.update({p: factor_poly(BULK_COEFFS, p) for p in bulk})
-    return SeparatedForm(
-        n_sites=n_sites,
-        field_pairs=field,
-        bulk_pairs=bulk,
-        factors=factors,
-        core=XPoly.zero(),
+    return _factor_product(
+        {p: order.pairs[p] for p in order.core_indices},
+        lambda eqs: LaurentPoly({block_count(n_sites, eqs): 1}),
     )
 
 
 @lru_cache(maxsize=None)
 def separated_form(n_sites: int) -> SeparatedForm:
-    """The complete separated form: factors plus the reduced core."""
-    return replace(separation_factors(n_sites), core=reduced_expansion(n_sites))
+    """The per-pair factors at a given size, and the reduced core."""
+    order = pair_order(n_sites)
+    factors = {p: factor_poly(FIELD_COEFFS, p) for p in order.field_indices}
+    factors.update({p: factor_poly(BULK_COEFFS, p) for p in order.bulk_indices})
+    return SeparatedForm(
+        n_sites=n_sites,
+        field_pairs=order.field_indices,
+        bulk_pairs=order.bulk_indices,
+        factors=factors,
+        core=reduced_expansion(n_sites),
+    )
 
 
 def assemble_separated(form: SeparatedForm) -> XPoly:
@@ -134,8 +111,6 @@ def assemble_separated(form: SeparatedForm) -> XPoly:
     The product equals the full expansion on the monomials free of the
     field variables only; see the module docstring.
     """
-    if not form.core:
-        raise ValueError("form has an empty core; build it with separated_form")
     total = form.core
     for p in sorted(form.factors):
         total = total * form.factors[p]
@@ -146,8 +121,6 @@ def evaluate_separated(form: SeparatedForm, weights: GhostWeightVector) -> Fract
     """Exact value of the separated form at an instance."""
     if weights.n_sites != form.n_sites:
         raise ValueError("instance size does not match the separated form")
-    if not form.core:
-        raise ValueError("form has an empty core; build it with separated_form")
     x = weights.x_values()
     r = weights.n_states
     total = xpoly_eval(form.core, x, r)

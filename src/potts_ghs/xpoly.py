@@ -71,8 +71,16 @@ class XPoly:
         return bool(self._terms)
 
     def coefficient(self, exponents: Mapping[int, int]):
-        """Coefficient of the given monomial (0 when absent)."""
-        return self._terms.get(monomial_key(exponents), 0)
+        """Coefficient of the given monomial, the ring's zero when absent.
+
+        The zero is LaurentPoly.zero() for symbolic coefficients and 0 for
+        numeric ones (or for a polynomial with no terms).
+        """
+        key = monomial_key(exponents)
+        if key in self._terms:
+            return self._terms[key]
+        first = next(iter(self._terms.values()), 0)
+        return LaurentPoly.zero() if isinstance(first, LaurentPoly) else 0
 
     def variables(self) -> set[int]:
         return {var for mono in self._terms for var, _ in mono}

@@ -55,7 +55,7 @@ ALL_TRIPLES = tuple(product(range(4), repeat=3))
 
 
 def assert_zero_field_oracle(coefficient):
-    """Check ``coefficient(x, y, z)``, a Laurent polynomial in r (or 0), against
+    """Check ``coefficient(x, y, z)``, a Laurent polynomial in r, against
     the brute-force zero-field coefficients at N = 3.
 
     Agreement at the ten state counts proves equality as polynomials once
@@ -70,7 +70,7 @@ def assert_zero_field_oracle(coefficient):
     for r, oracle in oracles.items():
         for triple in ALL_TRIPLES:
             poly = coefficient(triple)
-            assert (poly.evaluate(r) if poly else 0) == oracle[triple], (triple, r)
+            assert poly.evaluate(r) == oracle[triple], (triple, r)
     return oracles
 
 

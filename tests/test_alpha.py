@@ -7,6 +7,8 @@ the reference closed forms disagree with these computed values; the
 comparison report flags them as possible errata rather than adopting them.
 """
 
+import importlib
+
 import pytest
 
 from potts_ghs import (
@@ -16,9 +18,14 @@ from potts_ghs import (
     alpha_table,
     compare_reference,
     format_table,
+    pair_order,
     sign_report,
     table_export,
 )
+from potts_ghs import constraints, separation
+
+# The package re-exports the function alpha under the submodule's name.
+alpha_module = importlib.import_module("potts_ghs.alpha")
 
 TRUE_FORMS = {
     (3, 3, 3): (-6, {2: 1, 1: -3, 0: 2}),
@@ -181,6 +188,38 @@ def test_comparison_verdicts_are_frozen():
             assert "erratum" in rec["note"]
         else:
             assert "note" not in rec
+
+
+@pytest.fixture
+def cold_core_caches():
+    """Clear the cached table entries and core around a test."""
+    caches = (alpha_module.alpha, separation.reduced_expansion, separation.separated_form)
+    for cached in caches:
+        cached.cache_clear()
+    yield
+    for cached in caches:
+        cached.cache_clear()
+
+
+def test_oracle_agreement_is_an_independent_route(monkeypatch, cold_core_caches):
+    # Add r^3 to the coefficient of the n = 3 matrix whose core rows are all
+    # (1, 1, 0), wherever the package binds matrix_coefficient.  The table
+    # takes the wrong value; the core, built without constraint matrices,
+    # does not, so the cross-check must report the disagreement.
+    original = constraints.matrix_coefficient
+    target = tuple((p, (1, 1, 0)) for p in pair_order(3).core_indices)
+
+    def tampered(matrix):
+        coeff = original(matrix)
+        if matrix.n_sites == 3 and matrix.entries == target:
+            coeff = coeff + LaurentPoly({3: 1})
+        return coeff
+
+    for module in (alpha_module, constraints, separation):
+        if hasattr(module, "matrix_coefficient"):
+            monkeypatch.setattr(module, "matrix_coefficient", tampered)
+    assert compare_reference(alpha_table(3))["oracle_agreement"] is False
+    assert compare_reference(alpha_table(4))["oracle_agreement"] is True
 
 
 def test_comparison_record_shapes():

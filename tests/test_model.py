@@ -7,6 +7,7 @@ import pytest
 from potts_ghs import (
     GhostWeightVector,
     ModelSpec,
+    constrained_sum,
     correlator,
     energy,
     instance_digest,
@@ -89,9 +90,6 @@ def test_partition_function_trivial_values():
     assert partition_function(GhostWeightVector.uniform(2, 3)) == 9
     w = GhostWeightVector(1, 2, (Fraction(3),))
     assert partition_function(w) == 4
-    assert partition_function(w, ghost_mode="summed") == 8
-    with pytest.raises(ValueError):
-        partition_function(w, ghost_mode="loose")
 
 
 def test_summed_ghost_is_r_times_fixed_ghost():
@@ -99,7 +97,8 @@ def test_summed_ghost_is_r_times_fixed_ghost():
         n = 3 if k % 2 else 4
         r = 2 + k % 3
         w = random_weights(n, r, trial_rng(31, k))
-        assert partition_function(w, ghost_mode="summed") == r * partition_function(w)
+        all_pairs = pair_order(n).pairs
+        assert constrained_sum(w, (), all_pairs) == r * partition_function(w)
 
 
 def test_correlator_uniform_measure():
@@ -156,6 +155,11 @@ def test_model_spec_validation():
             ModelSpec(2, 3, {(1, 2): value})
         with pytest.raises(ValueError, match="finite"):
             ModelSpec(2, 3, {}, (0.1, value))
+    # An int beyond the float range is not finite either.
+    with pytest.raises(ValueError, match="finite"):
+        ModelSpec(2, 3, {(1, 2): 10**400})
+    with pytest.raises(ValueError, match="finite"):
+        ModelSpec(2, 3, fields=(10**400, 0))
     model = ModelSpec(2, 3, {(1, 2): 0.5})
     assert model.fields == (0.0, 0.0)
     assert model.coupling(2, 1) == 0.5

@@ -17,6 +17,7 @@ from potts_ghs import (
     GhostWeightVector,
     LaurentPoly,
     XPoly,
+    alpha,
     assemble_separated,
     evaluate_separated,
     expand_full,
@@ -27,7 +28,6 @@ from potts_ghs import (
     reduced_expansion,
     separated_form,
     separation_check,
-    separation_factors,
     xpoly_eval,
 )
 from potts_ghs.separation import BULK_COEFFS, FIELD_COEFFS, factor_poly
@@ -40,15 +40,15 @@ FIELD_VARS = set(pair_order(3).field_indices)
 
 
 def test_skeleton_at_three_sites():
-    form = separation_factors(3)
+    form = separated_form(3)
     assert form.field_pairs == (0, 1, 2)
     assert form.bulk_pairs == ()
     assert set(form.factors) == {0, 1, 2}
-    assert not form.core
+    assert form.factors[0] == factor_poly(FIELD_COEFFS, 0)
 
 
 def test_skeleton_at_four_sites():
-    form = separation_factors(4)
+    form = separated_form(4)
     order = pair_order(4)
     assert form.field_pairs == (0, 1, 2)
     assert tuple(order.pairs[p] for p in form.bulk_pairs) == (
@@ -95,13 +95,27 @@ def test_core_is_the_reduced_expansion():
     form = separated_form(3)
     assert form.core == reduced_expansion(3)
     assert len(form.core) == 54
-    assert form.factors == separation_factors(3).factors
 
 
 def test_core_uniform_triple_coefficient():
     assert reduced_expansion(3).coefficient({3: 3, 4: 3, 5: 3}) == LaurentPoly(
         {5: 1, 4: -3, 3: 2}
     )
+
+
+def test_every_core_monomial_evaluates():
+    # An absent monomial has the zero Laurent polynomial as its coefficient,
+    # so each of the 64 evaluates; the 10 absent ones give 0.
+    core = reduced_expansion(3)
+    p1, p2, p3 = pair_order(3).core_indices
+    values = {
+        (x, y, z): core.coefficient({p1: x, p2: y, p3: z}).evaluate(3)
+        for x in range(4)
+        for y in range(4)
+        for z in range(4)
+    }
+    assert sum(1 for v in values.values() if v == 0) == 10
+    assert all(v == alpha(*t).evaluate(3) for t, v in values.items())
 
 
 def test_core_scales_by_extra_sites():
@@ -290,14 +304,6 @@ def test_random_eval_needs_states_and_trials():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="unknown mode"):
         separation_check(3, "spot-check")
-
-
-def test_empty_core_guards():
-    skeleton = separation_factors(3)
-    with pytest.raises(ValueError, match="empty core"):
-        assemble_separated(skeleton)
-    with pytest.raises(ValueError, match="empty core"):
-        evaluate_separated(skeleton, GhostWeightVector.uniform(3, 2))
 
 
 def test_evaluate_rejects_size_mismatch():

@@ -62,6 +62,17 @@ def test_term_constant_and_accessors():
     assert p.max_degree(9) == 0
 
 
+def test_absent_coefficient_is_the_ring_zero():
+    symbolic = XPoly.term(LaurentPoly({2: 1}), {0: 1})
+    zero = symbolic.coefficient({1: 1})
+    assert isinstance(zero, LaurentPoly) and zero == LaurentPoly.zero()
+    assert zero.evaluate(3) == 0
+    numeric = XPoly.term(Fraction(1, 2), {0: 1})
+    assert numeric.coefficient({1: 1}) == 0
+    assert not isinstance(numeric.coefficient({1: 1}), LaurentPoly)
+    assert XPoly.zero().coefficient({0: 1}) == 0
+
+
 def test_equality_ignores_term_order_and_compares_zero():
     a = XPoly.term(1, {1: 1}) + XPoly.term(2, {2: 1})
     b = XPoly.term(2, {2: 1}) + XPoly.term(1, {1: 1})
