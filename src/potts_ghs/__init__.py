@@ -22,7 +22,6 @@ from .alpha import (
     alpha,
     alpha_table,
     compare_reference,
-    format_table,
     sign_report,
     table_export,
 )
@@ -33,7 +32,6 @@ from .constraints import (
     matrix_coefficient,
 )
 from .derivatives import (
-    first_derivative,
     ghs_sum,
     second_derivative_analytic,
     second_derivative_fd,
@@ -45,18 +43,13 @@ from .laurent import LaurentPoly
 from .model import (
     GhostWeightVector,
     ModelSpec,
-    PairOrder,
-    correlator,
-    energy,
     instance_digest,
-    magnetization,
     pair_order,
-    partition_function,
     relabel_sites,
 )
 from .modelfile import ModelFileError, dump_weights, load_model, parse_rational, rational_str
-from .partitions import DisjointSet, Partition, block_count, merge_constraints
-from .sampling import random_excess, random_model, random_weights, trial_rng
+from .partitions import block_count, merge_constraints
+from .sampling import random_model, random_weights, trial_rng
 from .separation import (
     SeparatedForm,
     assemble_separated,
@@ -65,20 +58,17 @@ from .separation import (
     separation_check,
     separated_form,
 )
-from .xpoly import XPoly, monomial_key, substitute, xpoly_eval, xpoly_records
+from .xpoly import XPoly, monomial_key, xpoly_eval, xpoly_records
 
 __all__ = [
     "AlphaTable",
     "CapacityError",
     "ConstraintMatrix",
-    "DisjointSet",
     "GHS_TERMS",
     "GhostWeightVector",
     "LaurentPoly",
     "ModelFileError",
     "ModelSpec",
-    "PairOrder",
-    "Partition",
     "REFERENCE_FORMS",
     "SeparatedForm",
     "XPoly",
@@ -88,25 +78,18 @@ __all__ = [
     "block_count",
     "compare_reference",
     "constrained_sum",
-    "correlator",
     "dump_weights",
-    "energy",
     "evaluate_separated",
     "expand_full",
     "expand_partial",
-    "first_derivative",
-    "format_table",
     "ghs_sum",
     "instance_digest",
     "load_model",
-    "magnetization",
     "matrix_coefficient",
     "merge_constraints",
     "monomial_key",
     "pair_order",
     "parse_rational",
-    "partition_function",
-    "random_excess",
     "random_model",
     "random_weights",
     "rational_str",
@@ -119,7 +102,6 @@ __all__ = [
     "separation_check",
     "separated_form",
     "sign_report",
-    "substitute",
     "table_export",
     "trial_rng",
     "xpoly_eval",

@@ -342,15 +342,3 @@ def table_export(table: AlphaTable, r_values: tuple[int, ...] = (2, 3, 4)) -> di
             [_triple_key(t) for t in cls] for cls in table.symmetry_classes
         ],
     }
-
-
-def format_table(table: AlphaTable) -> str:
-    """Aligned plain-text rendering of all 64 entries."""
-    rows = [
-        (_triple_key(triple), table.entries[triple].factored_str())
-        for triple in sorted(table.entries)
-    ]
-    width = max(len(key) for key, _ in rows)
-    lines = [f"{'x,y,z':<{width}}  entry", f"{'-' * width}  {'-' * 5}"]
-    lines += [f"{key:<{width}}  {form}" for key, form in rows]
-    return "\n".join(lines)

@@ -251,6 +251,8 @@ def _cmd_derivative(args) -> tuple:
 
 
 def _cmd_expand(args) -> tuple:
+    if args.window is not None and not args.model:
+        raise UsageError("--window needs --model")
     order = pair_order(args.n_sites)
     extras = {}
     if args.model:
@@ -549,9 +551,13 @@ def main(argv: list[str] | None = None) -> int:
         f"({summary['status']})"
     )
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        )
+        try:
+            Path(args.output).write_text(
+                json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            )
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"report written to {args.output}")
     return EXIT_PASS if summary["status"] == "pass" else EXIT_CHECK_FAILURE
 

@@ -101,8 +101,7 @@ def constrained_sum(
     """
     n = weights.n_sites
     r = weights.n_states
-    part = merge_constraints(n, equalities)
-    index = part.block_index
+    index = merge_constraints(n, equalities)
     # Integer-scaled accumulation: factor t = num/den per active pair, with
     # the common denominator pulled out front.
     prefactor = 1
@@ -120,8 +119,7 @@ def constrained_sum(
         else:
             var_pairs.append((bi, bj, num, den))
     total = 0
-    n_blocks = part.block_count
-    for assign in product(range(r), repeat=n_blocks):
+    for assign in product(range(r), repeat=max(index) + 1):
         acc = prefactor
         for bi, bj, num, den in var_pairs:
             acc *= num if assign[bi] == assign[bj] else den

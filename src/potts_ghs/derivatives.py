@@ -1,8 +1,7 @@
-"""Derivatives of the local magnetization, exact and numerical.
+"""Second derivatives of the local magnetization, exact and numerical.
 
-The first derivative of m_i with respect to the field at site k is the
-truncated pair correlation; the second derivative with respect to the fields
-at j and k is the five-term truncated triple correlation
+The second derivative of m_i with respect to the fields at j and k is the
+five-term truncated triple correlation
 
     <d_i d_j d_k> - <d_i d_k><d_j> - <d_i d_j><d_k> - <d_k d_j><d_i>
         + 2 <d_i><d_j><d_k>
@@ -10,7 +9,7 @@ at j and k is the five-term truncated triple correlation
 where d_i indicates site i being in state 1 and repeated indices merge.
 ``ghs_sum`` computes the same quantity for the triple (1, 2, 3) scaled by
 r**3 Z**3, directly as a signed combination of ghost-summed constrained
-partition sums — an independent route used to cross-check the correlator
+partition sums — an independent route used to cross-check the five-term
 formula.  A high-precision finite-difference oracle backs the analytic
 values numerically.
 """
@@ -39,19 +38,6 @@ def _check_sites(n_sites: int, *sites: int) -> None:
     for s in sites:
         if not 1 <= s <= n_sites:
             raise ValueError(f"site {s} out of range for n_sites={n_sites}")
-
-
-def first_derivative(weights: GhostWeightVector, i: int, k: int) -> Fraction:
-    """d m_i / d B_k: the truncated pair correlation <d_i d_k> - <d_i><d_k>."""
-    _check_sites(weights.n_sites, i, k)
-    z, cik, ci, ck = weighted_sums(
-        weights.weights,
-        weights.n_sites,
-        weights.n_states,
-        [(), {i, k}, {i}, {k}],
-        Fraction(1),
-    )
-    return cik / z - (ci / z) * (ck / z)
 
 
 def _truncated_triple(weight_seq, n_sites: int, n_states: int, i, j, k, one):

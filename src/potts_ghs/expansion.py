@@ -21,13 +21,9 @@ from functools import lru_cache
 
 from .constraints import GHS_FACTOR_TERMS, GHS_FACTORS, constrained_sum
 from .laurent import LaurentPoly
-from .model import GhostWeightVector, pair_order
+from .model import CapacityError, GhostWeightVector, pair_order
 from .partitions import block_count
 from .xpoly import XPoly, monomial_key
-
-
-class CapacityError(Exception):
-    """A request exceeds the supported exact-enumeration size."""
 
 
 def _factor_product(window: dict[int, tuple[int, int]], coefficient) -> XPoly:

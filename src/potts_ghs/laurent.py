@@ -96,12 +96,6 @@ class LaurentPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other: int) -> "LaurentPoly":
-        coerced = _coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced + (-self)
-
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         other = _coerce(other)
         if other is None:
@@ -114,18 +108,6 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by r**k."""

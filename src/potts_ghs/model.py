@@ -18,6 +18,18 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 
+class CapacityError(Exception):
+    """A request exceeds the supported exact-enumeration size."""
+
+
+# Largest site count any route accepts.  Every instance, model file and
+# expansion builds the C(N+1, 2) pair list first, so the cap bounds that
+# list (2080 pairs at N = 64) before any other check.  It leaves room above
+# N = 18, the largest size whose r**(N+1) configurations stay within the
+# CLI's enumeration bound.
+MAX_SITES = 64
+
+
 class PairOrder:
     """The lexicographic list of unordered pairs over {0, ..., n_sites}."""
 
@@ -26,6 +38,10 @@ class PairOrder:
     def __init__(self, n_sites: int):
         if n_sites < 1:
             raise ValueError("n_sites must be >= 1")
+        if n_sites > MAX_SITES:
+            raise CapacityError(
+                f"n_sites={n_sites} exceeds the supported {MAX_SITES} sites"
+            )
         self.n_sites = n_sites
         self.pairs = tuple(
             (i, j) for i in range(n_sites + 1) for j in range(i + 1, n_sites + 1)
@@ -165,23 +181,6 @@ class GhostWeightVector:
         return {p: t - 1 for p, t in enumerate(self.weights)}
 
 
-def energy(model: ModelSpec, config: Sequence[int]) -> float:
-    """Interaction energy of the spins of sites 1..N (ghost pinned to state 1)."""
-    spins = (1,) + tuple(config)
-    if len(spins) != model.n_sites + 1:
-        raise ValueError("configuration length does not match n_sites")
-    if any(not 1 <= s <= model.n_states for s in spins):
-        raise ValueError("spin out of range")
-    total = 0.0
-    for i in range(1, model.n_sites + 1):
-        if spins[i] == 1:
-            total += model.fields[i - 1]
-        for j in range(i + 1, model.n_sites + 1):
-            if spins[i] == spins[j]:
-                total += model.coupling(i, j)
-    return total
-
-
 def weighted_sums(
     weight_seq: Sequence,
     n_sites: int,
@@ -223,36 +222,11 @@ def weighted_sums(
     return totals
 
 
-def pinned_sum(weights: GhostWeightVector, sites: Iterable[int]) -> Fraction:
-    """Partition sum restricted to configurations with the given sites at 1."""
-    return weighted_sums(
-        weights.weights, weights.n_sites, weights.n_states, [sites], Fraction(1)
-    )[0]
-
-
-def partition_function(weights: GhostWeightVector) -> Fraction:
-    """Exact partition function, with the ghost spin fixed at 1."""
-    return pinned_sum(weights, ())
-
-
-def correlator(weights: GhostWeightVector, sites: Iterable[int]) -> Fraction:
-    """Probability that all listed sites are in state 1."""
-    z, top = weighted_sums(
-        weights.weights, weights.n_sites, weights.n_states, [(), sites], Fraction(1)
-    )
-    return top / z
-
-
-def magnetization(weights: GhostWeightVector, i: int) -> Fraction:
-    """Probability that site i is in state 1."""
-    return correlator(weights, (i,))
-
-
 def relabel_sites(weights: GhostWeightVector, perm: Mapping[int, int]) -> GhostWeightVector:
     """Transport weights along a permutation of ordinary sites.
 
-    ``perm`` maps old site labels to new ones (ghost fixed); the returned
-    instance satisfies magnetization(new, perm[i]) == magnetization(old, i).
+    ``perm`` maps old site labels to new ones (ghost fixed); site perm[i] of
+    the returned instance has the magnetization that site i had.
     """
     n = weights.n_sites
     mapping = dict(perm)

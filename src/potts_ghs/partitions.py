@@ -1,93 +1,61 @@
 """Set partitions of the extended site set {0, ..., N} from equality merges."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
-class DisjointSet:
-    """Union-find over range(n) with path compression and union by size."""
+def _union_find(
+    n_sites: int, equalities: Iterable[tuple[int, int]]
+) -> tuple[list[int], int]:
+    """Parent forest over {0, ..., n_sites} and the number of merges made.
 
-    __slots__ = ("parent", "size", "n_blocks")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_blocks = n
-
-    def find(self, x: int) -> int:
-        root = x
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_blocks -= 1
-        return True
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of {0, ..., n_elements - 1} into disjoint blocks.
-
-    Blocks are sorted internally and ordered by their minimal element, so a
-    given partition has exactly one representation.
-    """
-
-    n_elements: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_index(self) -> dict[int, int]:
-        """Map each element to the position of its block."""
-        index = {}
-        for b, block in enumerate(self.blocks):
-            for x in block:
-                index[x] = b
-        return index
-
-
-def merge_constraints(n_sites: int, equalities: Iterable[tuple[int, int]]) -> Partition:
-    """Partition of {0, ..., n_sites} induced by a set of equality pairs.
-
-    The ghost site 0 participates like any other element; with no equalities
-    the partition is discrete with n_sites + 1 singleton blocks.
+    Every root is the smallest element of its block and every other element
+    points to a smaller one, so a block is labelled before its later members.
     """
     n = n_sites + 1
-    dsu = DisjointSet(n)
+    parent = list(range(n))
+    merges = 0
     for i, j in equalities:
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"equality ({i}, {j}) out of range for n_sites={n_sites}")
         if i == j:
             raise ValueError(f"degenerate equality ({i}, {j})")
-        dsu.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(dsu.find(x), []).append(x)
-    blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-    return Partition(n_elements=n, blocks=blocks)
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        if i != j:
+            if i < j:
+                parent[j] = i
+            else:
+                parent[i] = j
+            merges += 1
+    return parent, merges
+
+
+def merge_constraints(
+    n_sites: int, equalities: Iterable[tuple[int, int]]
+) -> tuple[int, ...]:
+    """Block label of each element of {0, ..., n_sites} under the equalities.
+
+    Blocks are numbered 0, 1, ... in the order of their smallest elements.
+    The ghost site 0 participates like any other element; with no equalities
+    every element is its own block.
+    """
+    parent, _ = _union_find(n_sites, equalities)
+    labels: list[int] = []
+    blocks = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            labels.append(blocks)
+            blocks += 1
+        else:
+            labels.append(labels[p])
+    return tuple(labels)
 
 
 def block_count(n_sites: int, equalities: Iterable[tuple[int, int]]) -> int:
-    """Number of blocks of merge_constraints, without building the blocks."""
-    n = n_sites + 1
-    dsu = DisjointSet(n)
-    for i, j in equalities:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"equality ({i}, {j}) out of range for n_sites={n_sites}")
-        dsu.union(i, j)
-    return dsu.n_blocks
+    """Number of blocks of merge_constraints, without labelling them."""
+    return n_sites + 1 - _union_find(n_sites, equalities)[1]

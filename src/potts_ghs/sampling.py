@@ -17,22 +17,20 @@ def trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def random_excess(rng: random.Random) -> Fraction:
-    """A random nonnegative rational deviation X = t - 1.
-
-    Numerators are uniform on [0, 2**16], denominators on [1, 2**8]; the
-    resulting weights t = 1 + X cover several orders of magnitude while
-    staying exactly representable.
-    """
-    return Fraction(rng.randint(0, 2**16), rng.randint(1, 2**8))
-
-
 def random_weights(
     n_sites: int, n_states: int, rng: random.Random
 ) -> GhostWeightVector:
-    """Exact random instance: every pair weight drawn as t = 1 + X."""
+    """Exact random instance: every pair weight drawn as t = 1 + X.
+
+    The numerator of X is uniform on [0, 2**16] and its denominator on
+    [1, 2**8], so the weights cover several orders of magnitude while
+    staying exactly representable.
+    """
     n_pairs = len(pair_order(n_sites))
-    weights = tuple(1 + random_excess(rng) for _ in range(n_pairs))
+    weights = tuple(
+        1 + Fraction(rng.randint(0, 2**16), rng.randint(1, 2**8))
+        for _ in range(n_pairs)
+    )
     return GhostWeightVector(n_sites, n_states, weights)
 
 

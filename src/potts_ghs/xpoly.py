@@ -85,15 +85,6 @@ class XPoly:
     def variables(self) -> set[int]:
         return {var for mono in self._terms for var, _ in mono}
 
-    def max_degree(self, var: int) -> int:
-        """Largest exponent the variable carries in any monomial."""
-        best = 0
-        for mono in self._terms:
-            for v, e in mono:
-                if v == var and e > best:
-                    best = e
-        return best
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, XPoly):
             if set(self._terms) != set(other._terms):
@@ -179,32 +170,6 @@ def xpoly_eval(
             factor *= Fraction(coeff)
         total += factor
     return total
-
-
-def substitute(poly: XPoly, var: int, value: Fraction) -> XPoly:
-    """Partially evaluate one variable, leaving the others symbolic.
-
-    The substituted value is folded into the coefficients, so the result has
-    numeric coefficients scaled by value**exp; only valid for numeric-
-    coefficient polynomials (partial expansions).
-    """
-    value = Fraction(value)
-    out: dict[Monomial, object] = {}
-    for mono, coeff in poly.items():
-        rest = []
-        scale = Fraction(1)
-        for v, e in mono:
-            if v == var:
-                scale *= value**e
-            else:
-                rest.append((v, e))
-        key = tuple(rest)
-        contribution = coeff * scale
-        if key in out:
-            out[key] = out[key] + contribution
-        else:
-            out[key] = contribution
-    return XPoly(out)
 
 
 def xpoly_records(poly: XPoly, n_vars: int) -> list[dict]:

@@ -81,6 +81,18 @@ def ghs_I(n_sites: int, n_states: int, weights) -> Fraction:
     return _curvature(n_sites, n_states, weigh, Fraction(0))
 
 
+def partition_function(n_sites: int, n_states: int, weights) -> Fraction:
+    """Exact partition function Z with the ghost pinned."""
+    t = dict(zip(pairs(n_sites), (Fraction(w) for w in weights), strict=True))
+    total = Fraction(0)
+    for tail in product(range(n_states), repeat=n_sites):
+        spins = (0,) + tail
+        total += prod(
+            (w for (i, j), w in t.items() if spins[i] == spins[j]), start=Fraction(1)
+        )
+    return total
+
+
 class _Poly:
     """Integer polynomial in X_12, X_13, X_23, keyed by exponent triples."""
 

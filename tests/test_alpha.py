@@ -17,7 +17,6 @@ from potts_ghs import (
     alpha,
     alpha_table,
     compare_reference,
-    format_table,
     pair_order,
     sign_report,
     table_export,
@@ -260,12 +259,3 @@ def test_table_export_shape():
     assert entry["polynomial"] == "r^5 - 3*r^4 + 2*r^3"
     assert entry["signs"] == {"2": 0, "3": 1}
     assert len(export["symmetry_classes"]) == 15
-
-
-def test_format_table_lists_every_entry():
-    text = format_table(alpha_table(3))
-    lines = text.splitlines()
-    assert len(lines) == 66  # header + rule + 64 rows
-    assert lines[0].endswith("entry")
-    assert any("0,0,0" in line and line.rstrip().endswith("0") for line in lines)
-    assert any("r^3*(r^2 - 3*r + 2)" in line for line in lines)

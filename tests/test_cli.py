@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -281,6 +282,12 @@ def test_expand_partial_window_capacity(tmp_path):
     assert result.returncode == 0
 
 
+def test_expand_window_needs_a_model():
+    result = run_cli("expand", "--n-sites", "3", "--window", "3")
+    assert result.returncode == 2
+    assert "--window" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # separation-check
 
@@ -503,6 +510,33 @@ def test_oversized_requests_exit_before_any_work(no_enumeration, capsys, argv):
     assert "capacity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--n-sites", "2000"],
+        ["alpha-table", "--n-sites", "2000"],
+        ["verify-ghs", "--model", "@model"],
+    ],
+    ids=["expand", "alpha-table", "verify-ghs-model"],
+)
+def test_oversized_site_counts_exit_before_the_pair_list(tmp_path, capsys, argv):
+    # The pair list has C(N+1, 2) entries, about 2 million at N = 2000.
+    from potts_ghs import cli
+
+    doc = {"n_sites": 2000, "n_states": 3, "mode": "exact-weights"}
+    model = write_exact_model(tmp_path, doc, "big.json")
+    argv = [model if arg == "@model" else arg for arg in argv]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 10 * 2**20
+    assert "capacity" in capsys.readouterr().err
+
+
 def physical_model(tmp_path, coupling, field=0.0):
     doc = {
         "n_sites": 3,
@@ -567,6 +601,16 @@ def test_version_flag():
 def test_unknown_subcommand_is_usage_error():
     result = run_cli("frobnicate")
     assert result.returncode == 2
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    result = run_cli(
+        "alpha-table", "--n-sites", "3", "--r-values", "3", "--output", str(out)
+    )
+    assert result.returncode == 2
+    assert "cannot write report" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_reports_are_deterministic_apart_from_timing(tmp_path):

@@ -12,14 +12,13 @@ from fractions import Fraction
 
 import pytest
 
+from brute_force import partition_function
 from potts_ghs import (
     CapacityError,
     GhostWeightVector,
     ModelSpec,
-    first_derivative,
     ghs_sum,
     pair_order,
-    partition_function,
     random_model,
     random_weights,
     second_derivative_analytic,
@@ -49,30 +48,6 @@ def model_from_weights(weights: GhostWeightVector) -> ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# first derivative
-
-
-def test_first_derivative_at_unit_weights():
-    for n, r in ((3, 2), (3, 5), (4, 3)):
-        w = GhostWeightVector.uniform(n, r)
-        assert first_derivative(w, 1, 2) == 0
-        assert first_derivative(w, 1, 1) == Fraction(1, r) - Fraction(1, r * r)
-
-
-def test_first_derivative_is_symmetric():
-    w = random_weights(3, 3, random.Random("deriv:0"))
-    assert first_derivative(w, 1, 2) == first_derivative(w, 2, 1)
-
-
-def test_first_derivative_site_range():
-    w = GhostWeightVector.uniform(3, 2)
-    with pytest.raises(ValueError, match="out of range"):
-        first_derivative(w, 0, 1)
-    with pytest.raises(ValueError, match="out of range"):
-        first_derivative(w, 1, 4)
-
-
-# ---------------------------------------------------------------------------
 # second derivative, exact routes
 
 
@@ -80,6 +55,14 @@ def test_second_derivative_at_unit_weights_is_zero():
     for n, r in ((3, 2), (3, 4), (4, 3)):
         w = GhostWeightVector.uniform(n, r)
         assert second_derivative_analytic(w, 1, 2, 3) == 0
+
+
+def test_second_derivative_site_range():
+    w = GhostWeightVector.uniform(3, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        second_derivative_analytic(w, 0, 1, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        second_derivative_analytic(w, 1, 2, 4)
 
 
 def test_second_derivative_is_fully_symmetric():
@@ -143,7 +126,7 @@ def test_curvature_sum_bridge_identity():
         n = rng.choice([3, 4])
         r = rng.choice([2, 3, 4])
         w = random_weights(n, r, rng)
-        z = partition_function(w)
+        z = partition_function(n, r, w.weights)
         bridge = Fraction(r) ** 3 * z**3 * second_derivative_analytic(w, 1, 2, 3)
         assert ghs_sum(w) == bridge
 

@@ -19,9 +19,9 @@ from potts_ghs import (
     pair_order,
     random_weights,
     reduced_expansion,
-    substitute,
     xpoly_eval,
 )
+from test_xpoly import substitute
 
 CORE = set(pair_order(3).core_indices)
 

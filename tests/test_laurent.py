@@ -57,18 +57,6 @@ def test_ring_laws_on_seeded_polynomials():
         assert a * 0 == 0
 
 
-def test_power_matches_repeated_multiplication():
-    rng = random.Random(12)
-    for _ in range(20):
-        p = random_poly(rng)
-        acc = LaurentPoly.one()
-        for n in range(5):
-            assert p**n == acc
-            acc = acc * p
-    with pytest.raises(ValueError):
-        LaurentPoly({1: 1}) ** -1
-
-
 def test_shift_moves_every_exponent():
     p = LaurentPoly({2: 1, 0: -5})
     assert p.shift(3) == LaurentPoly({5: 1, 3: -5})

@@ -1,4 +1,4 @@
-"""Pair ordering, exact weights, and partition-function enumeration."""
+"""Pair ordering, exact weights, and the enumeration of pinned sums."""
 import random
 from fractions import Fraction
 
@@ -8,15 +8,26 @@ from potts_ghs import (
     GhostWeightVector,
     ModelSpec,
     constrained_sum,
-    correlator,
-    energy,
     instance_digest,
-    magnetization,
     pair_order,
-    partition_function,
     relabel_sites,
 )
+from potts_ghs.model import weighted_sums
 from potts_ghs.sampling import random_weights, trial_rng
+
+
+def pinned_sum(w, sites=()):
+    """Sum of the configuration weights with the ghost and ``sites`` at 1."""
+    return weighted_sums(w.weights, w.n_sites, w.n_states, [sites], Fraction(1))[0]
+
+
+def correlator(w, sites):
+    """Probability that every listed site is in state 1."""
+    return pinned_sum(w, sites) / pinned_sum(w)
+
+
+def magnetization(w, i):
+    return correlator(w, (i,))
 
 
 def test_pair_order_n3():
@@ -79,17 +90,10 @@ def test_weight_vector_accessors():
     assert set(uniform.weights) == {Fraction(2)}
 
 
-def test_energy_examples():
-    model = ModelSpec(2, 3, {(1, 2): 0.7}, (0.3, 0.0))
-    assert energy(model, (2, 2)) == pytest.approx(0.7)
-    assert energy(model, (1, 2)) == pytest.approx(0.3)
-    assert energy(model, (1, 1)) == pytest.approx(0.7 + 0.3)
-
-
 def test_partition_function_trivial_values():
-    assert partition_function(GhostWeightVector.uniform(2, 3)) == 9
+    assert pinned_sum(GhostWeightVector.uniform(2, 3)) == 9
     w = GhostWeightVector(1, 2, (Fraction(3),))
-    assert partition_function(w) == 4
+    assert pinned_sum(w) == 4
 
 
 def test_summed_ghost_is_r_times_fixed_ghost():
@@ -98,7 +102,7 @@ def test_summed_ghost_is_r_times_fixed_ghost():
         r = 2 + k % 3
         w = random_weights(n, r, trial_rng(31, k))
         all_pairs = pair_order(n).pairs
-        assert constrained_sum(w, (), all_pairs) == r * partition_function(w)
+        assert constrained_sum(w, (), all_pairs) == r * pinned_sum(w)
 
 
 def test_correlator_uniform_measure():
@@ -128,7 +132,7 @@ def test_relabel_sites_preserves_the_partition_function():
     w = random_weights(4, 3, trial_rng(34, 0))
     perm = {1: 3, 2: 1, 3: 4, 4: 2}
     relabeled = relabel_sites(w, perm)
-    assert partition_function(relabeled) == partition_function(w)
+    assert pinned_sum(relabeled) == pinned_sum(w)
     assert relabeled.weight_of(0, 3) == w.weight_of(0, 1)
     assert relabeled.weight_of(1, 4) == w.weight_of(2, 3)
 

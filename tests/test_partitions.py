@@ -1,52 +1,44 @@
-"""Union-find and partition block counting."""
+"""Block labels and block counts of equality merges."""
 import random
 
 import pytest
 
-from potts_ghs import DisjointSet, Partition, block_count, merge_constraints
+from potts_ghs import block_count, merge_constraints
 
 
-def test_disjoint_set_basics():
-    ds = DisjointSet(4)
-    assert ds.n_blocks == 4
-    assert ds.union(0, 1) is True
-    assert ds.n_blocks == 3
-    assert ds.union(1, 0) is False
-    assert ds.n_blocks == 3
-    assert ds.find(0) == ds.find(1)
-    ds.union(2, 3)
-    ds.union(0, 3)
-    assert ds.n_blocks == 1
-    assert len({ds.find(i) for i in range(4)}) == 1
+def relabel_merge(n_sites, eqs):
+    """Block labels by relabelling the whole list per equality, numbered in
+    order of first appearance: an oracle that shares no union-find code."""
+    labels = list(range(n_sites + 1))
+    for i, j in eqs:
+        keep, drop = labels[i], labels[j]
+        labels = [keep if x == drop else x for x in labels]
+    number: dict[int, int] = {}
+    return tuple(number.setdefault(x, len(number)) for x in labels)
 
 
 def test_merge_constraints_examples():
     # Elements run over {0, ..., n_sites}: the ghost site 0 plus the sites.
-    assert merge_constraints(4, []).block_count == 5
-    p = merge_constraints(4, [(0, 1), (2, 3)])
-    assert p.block_count == 3
-    assert p.blocks == ((0, 1), (2, 3), (4,))
-    redundant = merge_constraints(4, [(1, 2), (1, 3), (2, 3)])
-    assert redundant.block_count == 3
-    assert redundant.blocks == ((0,), (1, 2, 3), (4,))
+    assert merge_constraints(4, []) == (0, 1, 2, 3, 4)
+    assert merge_constraints(4, [(0, 1), (2, 3)]) == (0, 0, 1, 1, 2)
+    redundant = [(1, 2), (1, 3), (2, 3)]
+    assert merge_constraints(4, redundant) == (0, 1, 1, 1, 2)
+    assert block_count(4, redundant) == 3
+    assert merge_constraints(3, [(1, 0)]) == merge_constraints(3, [(0, 1)])
 
 
 def test_blocks_are_sorted_by_minimum_element():
-    p = merge_constraints(5, [(3, 4), (0, 2)])
-    assert [min(b) for b in p.blocks] == sorted(min(b) for b in p.blocks)
-    index = p.block_index
-    assert index[3] == index[4]
-    assert index[0] == index[2]
-    assert index[1] not in (index[0], index[3])
+    assert merge_constraints(5, [(3, 4), (0, 2)]) == (0, 1, 0, 2, 2, 3)
+    # Merging from the larger elements down still labels a block by its
+    # smallest element.
+    assert merge_constraints(5, [(5, 4), (4, 1)]) == (0, 1, 2, 3, 1, 1)
 
 
 def test_out_of_range_and_self_pairs_rejected():
-    with pytest.raises(ValueError):
-        merge_constraints(3, [(0, 4)])
-    with pytest.raises(ValueError):
-        merge_constraints(3, [(-1, 0)])
-    with pytest.raises(ValueError):
-        merge_constraints(3, [(1, 1)])
+    for merge in (merge_constraints, block_count):
+        for eqs in ([(0, 4)], [(-1, 0)], [(1, 1)]):
+            with pytest.raises(ValueError):
+                merge(3, eqs)
 
 
 def test_block_count_matches_full_partition():
@@ -58,7 +50,9 @@ def test_block_count_matches_full_partition():
             for _ in range(rng.randint(0, 10))
         ]
         eqs = [(i, j) for i, j in eqs if i != j]
-        assert block_count(n, eqs) == merge_constraints(n, eqs).block_count
+        labels = merge_constraints(n, eqs)
+        assert labels == relabel_merge(n, eqs)
+        assert block_count(n, eqs) == len(set(labels))
 
 
 def test_adding_constraints_never_increases_blocks():
@@ -76,11 +70,3 @@ def test_adding_constraints_never_increases_blocks():
             assert cur <= prev
             assert cur >= 1
             prev = cur
-
-
-def test_partition_is_hashable_and_frozen():
-    p = merge_constraints(3, [(0, 1)])
-    assert isinstance(p, Partition)
-    assert hash(p) == hash(merge_constraints(3, [(1, 0)]))
-    with pytest.raises(Exception):
-        p.blocks = ()
