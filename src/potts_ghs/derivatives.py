@@ -11,7 +11,10 @@ where d_i indicates site i being in state 1 and repeated indices merge.
 r**3 Z**3, directly as a signed combination of ghost-summed constrained
 partition sums — an independent route used to cross-check the five-term
 formula.  A high-precision finite-difference oracle backs the analytic
-values numerically.
+values numerically.  It takes a single ``weighted_sums`` pass at the
+unshifted weights and evaluates every stencil point in closed form, so it
+shares the enumeration with the analytic routes but not the five-term
+combiner.
 """
 from __future__ import annotations
 
@@ -84,43 +87,55 @@ def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
     return _truncated_triple(tw, model.n_sites, model.n_states, i, j, k, 1.0)
 
 
-def _mp_magnetization(model: ModelSpec, i: int, shifts: dict[int, mp.mpf]):
-    """Magnetization of site i with the fields shifted, in working precision."""
-    order = pair_order(model.n_sites)
-    tw = []
-    for a, b in order.pairs:
-        if a == 0:
-            tw.append(mp.exp(mp.mpf(model.fields[b - 1]) + shifts.get(b, mp.mpf(0))))
-        else:
-            tw.append(mp.exp(mp.mpf(model.coupling(a, b))))
-    z, top = weighted_sums(tw, model.n_sites, model.n_states, [(), {i}], mp.mpf(1))
-    return top / z
-
-
 def second_derivative_fd(
     model: ModelSpec, i: int, j: int, k: int, h: float = 1e-4
 ) -> float:
     """Central finite differences of the magnetization in the fields.
 
-    Differences are formed in extended precision so the quadratic truncation
-    error of the stencil dominates rounding even at small steps; the
-    returned value is a float.
+    One enumeration at the unshifted weights gives the pinned sums Z_S for
+    the eight sets S of the stencil.  Shifting B_j by d multiplies each
+    configuration with site j in state 1 by e**d = 1 + a, a = expm1(d), so
+    every stencil point is the closed form
+
+        m_i(dj, dk) = (Z_i + aj Z_ij + ak Z_ik + aj ak Z_ijk)
+                      / (Z + aj Z_j + ak Z_k + aj ak Z_jk),
+
+    with ak = 0 when j = k.  Differences are formed in extended precision so
+    the quadratic truncation error of the stencil dominates rounding even at
+    small steps; the returned value is a float.
     """
     _check_sites(model.n_sites, i, j, k)
     if not (h > 0 and math.isfinite(h)):
         raise ValueError("step h must be positive and finite")
     with mp.workdps(FD_PRECISION_DPS):
+        tw = [
+            mp.exp(mp.mpf(model.fields[b - 1] if a == 0 else model.coupling(a, b)))
+            for a, b in pair_order(model.n_sites).pairs
+        ]
+        z, zj, zk, zjk, zi, zij, zik, zijk = weighted_sums(
+            tw,
+            model.n_sites,
+            model.n_states,
+            [(), {j}, {k}, {j, k}, {i}, {i, j}, {i, k}, {i, j, k}],
+            mp.mpf(1),
+        )
+
+        def magnetization(dj, dk):
+            aj, ak = mp.expm1(dj), mp.expm1(dk)
+            top = zi + aj * zij + ak * zik + aj * ak * zijk
+            return top / (z + aj * zj + ak * zk + aj * ak * zjk)
+
         step = mp.mpf(h)
         if j == k:
-            plus = _mp_magnetization(model, i, {j: step})
-            mid = _mp_magnetization(model, i, {})
-            minus = _mp_magnetization(model, i, {j: -step})
+            plus = magnetization(step, 0)
+            mid = magnetization(0, 0)
+            minus = magnetization(-step, 0)
             value = (plus - 2 * mid + minus) / step**2
         else:
-            pp = _mp_magnetization(model, i, {j: step, k: step})
-            pm = _mp_magnetization(model, i, {j: step, k: -step})
-            mp_ = _mp_magnetization(model, i, {j: -step, k: step})
-            mm = _mp_magnetization(model, i, {j: -step, k: -step})
+            pp = magnetization(step, step)
+            pm = magnetization(step, -step)
+            mp_ = magnetization(-step, step)
+            mm = magnetization(-step, -step)
             value = (pp - pm - mp_ + mm) / (4 * step**2)
         return float(value)
 

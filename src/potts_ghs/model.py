@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 
@@ -195,31 +194,50 @@ def weighted_sums(
     site of the set is in state 1.  Works for any weight type that supports
     multiplication and addition (Fraction, float, mpf); ``one`` is the
     multiplicative unit of that type.
+
+    Sites take their states in order 1..N, and the weight is extended by
+    the non-unit pairs (i, s), i < s, that close at site s, multiplied in
+    only when the two states are equal; a prefix is shared by all of its
+    completions.  Each finished configuration is added to one bucket, keyed
+    by which watched sites (the union of the requested sets) are in state 1,
+    and each requested sum adds the buckets whose key contains its set.
     """
     order = pair_order(n_sites)
-    pair_data = [
-        (i, j, weight_seq[p])
-        for p, (i, j) in enumerate(order.pairs)
-        if weight_seq[p] != one
-    ]
-    targets = [tuple(sorted(set(s))) for s in site_sets]
-    for tset in targets:
-        if any(not 1 <= i <= n_sites for i in tset):
-            raise ValueError("site index out of range")
+    targets = [frozenset(s) for s in site_sets]
+    watched = sorted(frozenset().union(*targets))
+    if any(not 1 <= i <= n_sites for i in watched):
+        raise ValueError("site index out of range")
+    bit = {site: 1 << b for b, site in enumerate(watched)}
+    closing: list[list] = [[] for _ in range(n_sites + 1)]
+    for p, (i, j) in enumerate(order.pairs):
+        if weight_seq[p] != one:
+            closing[j].append((i, weight_seq[p]))
     zero = one - one
-    totals = [zero] * len(targets)
+    buckets = [zero] * (1 << len(watched))
     states = range(1, n_states + 1)
-    for tail in product(states, repeat=n_sites):
-        sigma = (1,) + tail
-        w = one
-        for i, j, t in pair_data:
-            if sigma[i] == sigma[j]:
-                w = w * t
-        totals = [
-            tot if any(sigma[i] != 1 for i in tset) else tot + w
-            for tot, tset in zip(totals, targets)
-        ]
-    return totals
+    sigma = [1] * (n_sites + 1)
+
+    def extend(s: int, w, mask: int) -> None:
+        factor: dict = {}
+        for i, t in closing[s]:
+            c = sigma[i]
+            factor[c] = factor[c] * t if c in factor else t
+        last = s == n_sites
+        for c in states:
+            wc = w * factor[c] if c in factor else w
+            mc = mask | bit.get(s, 0) if c == 1 else mask
+            if last:
+                buckets[mc] += wc
+            else:
+                sigma[s] = c
+                extend(s + 1, wc, mc)
+
+    extend(1, one, 0)
+    needs = [sum(bit[i] for i in tset) for tset in targets]
+    return [
+        sum((v for m, v in enumerate(buckets) if m & need == need), zero)
+        for need in needs
+    ]
 
 
 def relabel_sites(weights: GhostWeightVector, perm: Mapping[int, int]) -> GhostWeightVector:

@@ -13,6 +13,8 @@ for the sum over configurations with every site of S in the ghost's state,
     Z**3 kappa = Z Z Z_123 - Z Z_12 Z_3 - Z Z_13 Z_2 - Z Z_23 Z_1
                  + 2 Z_1 Z_2 Z_3.
 
+``pinned_sum`` computes Z_S itself for any site set S.
+
 It uses the standard library only and never imports ``potts_ghs``, so it
 checks the constrained sums, the expansions and ``model.weighted_sums``
 from outside.  Pair weights t_p are given in the lexicographic order of the
@@ -81,12 +83,15 @@ def ghs_I(n_sites: int, n_states: int, weights) -> Fraction:
     return _curvature(n_sites, n_states, weigh, Fraction(0))
 
 
-def partition_function(n_sites: int, n_states: int, weights) -> Fraction:
-    """Exact partition function Z with the ghost pinned."""
+def pinned_sum(n_sites: int, n_states: int, weights, sites=()) -> Fraction:
+    """Exact sum of the configuration weights with the ghost pinned and every
+    site of ``sites`` in the ghost's state; ``sites=()`` gives Z."""
     t = dict(zip(pairs(n_sites), (Fraction(w) for w in weights), strict=True))
     total = Fraction(0)
     for tail in product(range(n_states), repeat=n_sites):
         spins = (0,) + tail
+        if any(spins[s] != 0 for s in sites):
+            continue
         total += prod(
             (w for (i, j), w in t.items() if spins[i] == spins[j]), start=Fraction(1)
         )

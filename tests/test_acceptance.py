@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from brute_force import ghs_I, partition_function, zero_field_coefficients
+from brute_force import ghs_I, pinned_sum, zero_field_coefficients
 from potts_ghs import (
     REFERENCE_FORMS,
     GhostWeightVector,
@@ -287,7 +287,7 @@ def test_criterion_7_curvature_sum_bridge():
         n = 3 + k % 2
         r = 2 + k % 3
         w = random_weights(n, r, trial_rng(SEED, k))
-        z = partition_function(n, r, w.weights)
+        z = pinned_sum(n, r, w.weights)
         bridge = Fraction(r) ** 3 * z**3 * second_derivative_analytic(w, 1, 2, 3)
         assert ghs_sum(w) == bridge, (n, r, k)
 

@@ -6,13 +6,15 @@ change sign with the field strength at three or more states, so no blanket
 sign claim is asserted here beyond the two-state case.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
-from brute_force import partition_function
+from brute_force import pinned_sum
 from potts_ghs import (
     CapacityError,
     GhostWeightVector,
@@ -27,6 +29,8 @@ from potts_ghs import (
     second_derivative_via_sum,
     trial_rng,
 )
+from potts_ghs import cli, derivatives
+from potts_ghs.model import weighted_sums
 
 
 def model_from_weights(weights: GhostWeightVector) -> ModelSpec:
@@ -126,7 +130,7 @@ def test_curvature_sum_bridge_identity():
         n = rng.choice([3, 4])
         r = rng.choice([2, 3, 4])
         w = random_weights(n, r, rng)
-        z = partition_function(n, r, w.weights)
+        z = pinned_sum(n, r, w.weights)
         bridge = Fraction(r) ** 3 * z**3 * second_derivative_analytic(w, 1, 2, 3)
         assert ghs_sum(w) == bridge
 
@@ -176,6 +180,68 @@ def test_two_state_zero_field_curvature_is_exactly_zero():
 
 # ---------------------------------------------------------------------------
 # float and finite-difference routes
+
+
+def reference_fd(model: ModelSpec, i: int, j: int, k: int, h: float) -> float:
+    """The finite-difference stencil with one enumeration per point: the
+    magnetization is recomputed from weights e**(B + shift) at each shift."""
+
+    def magnetization(shifts):
+        tw = []
+        for a, b in pair_order(model.n_sites).pairs:
+            if a == 0:
+                tw.append(mp.exp(mp.mpf(model.fields[b - 1]) + shifts.get(b, 0)))
+            else:
+                tw.append(mp.exp(mp.mpf(model.coupling(a, b))))
+        z, top = weighted_sums(tw, model.n_sites, model.n_states, [(), {i}], mp.mpf(1))
+        return top / z
+
+    with mp.workdps(derivatives.FD_PRECISION_DPS):
+        s = mp.mpf(h)
+        if j == k:
+            value = (
+                magnetization({j: s}) - 2 * magnetization({}) + magnetization({j: -s})
+            ) / s**2
+        else:
+            value = (
+                magnetization({j: s, k: s})
+                - magnetization({j: s, k: -s})
+                - magnetization({j: -s, k: s})
+                + magnetization({j: -s, k: -s})
+            ) / (4 * s**2)
+        return float(value)
+
+
+@pytest.mark.parametrize("h", [1e-2, 1e-4])
+@pytest.mark.parametrize("triple", [(1, 2, 3), (1, 2, 2), (2, 1, 1), (1, 1, 1)])
+def test_one_pass_fd_matches_the_per_point_stencil(triple, h):
+    model = random_model(4, 3, trial_rng("fd-reference", 0))
+    expected = reference_fd(model, *triple, h)
+    assert second_derivative_fd(model, *triple, h=h) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_fd_oracle_does_not_go_through_the_five_term_combiner(monkeypatch, tmp_path, mode):
+    # An offset planted in the combiner moves the analytic value but not the
+    # finite difference, so the CLI's agreement check must catch it.
+    argv = ["derivative", "--n-sites", "4", "--r", "3", "--seed", "4", "--mode", mode]
+    argv += ["--i", "1", "--j", "2", "--k", "3"]
+    out = tmp_path / "report.json"
+
+    def agreement():
+        code = cli.main(argv + ["--output", str(out)])
+        checks = json.loads(out.read_text())["checks"]
+        status = {c["name"]: c["status"] for c in checks}
+        return code, status["finite-difference-agreement"]
+
+    assert agreement() == (0, "pass")
+    original = derivatives._truncated_triple
+    monkeypatch.setattr(
+        derivatives,
+        "_truncated_triple",
+        lambda *args: original(*args) + Fraction(1, 1000),
+    )
+    assert agreement() == (1, "fail")
 
 
 def test_float_route_tracks_the_exact_route():

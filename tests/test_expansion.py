@@ -1,11 +1,13 @@
 """Tests for the polynomial expansion of the scaled curvature sum."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from brute_force import ghs_I
 from potts_ghs import (
     CapacityError,
     ConstraintMatrix,
@@ -137,6 +139,20 @@ def test_full_expansion_evaluates_to_curvature_sum():
 def test_full_expansion_at_unit_weights_is_zero():
     for r in (2, 3, 4, 5):
         assert xpoly_eval(expand_full(3), {p: Fraction(0) for p in range(6)}, r=r) == 0
+
+
+def test_two_state_coefficients_certify_concavity_at_three_sites():
+    # Every coefficient is <= 0 at r = 2, so the polynomial is <= 0 at every
+    # X_p = t_p - 1 >= 0: ghs_I <= 0 for every instance at N = 3, r = 2,
+    # fields included.
+    full = expand_full(3)
+    values = [c.evaluate(2) for _, c in full.items()]
+    assert Counter((v > 0) - (v < 0) for v in values) == {-1: 1356, 0: 102}
+    rng = random.Random("expansion:ising")
+    for _ in range(3):
+        weights = random_weights(3, 2, rng)
+        value = xpoly_eval(full, weights.x_values(), r=2)
+        assert value == ghs_I(3, 2, weights.weights) < 0
 
 
 # ---------------------------------------------------------------------------

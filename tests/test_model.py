@@ -2,8 +2,12 @@
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from brute_force import pinned_sum as oracle_pinned_sum
 from potts_ghs import (
     GhostWeightVector,
     ModelSpec,
@@ -28,6 +32,26 @@ def correlator(w, sites):
 
 def magnetization(w, i):
     return correlator(w, (i,))
+
+
+def derivative_sets(i, j, k):
+    """The eight site sets the derivative routes request, repeats kept."""
+    return [(), (j,), (k,), (j, k), (i,), (i, j), (i, k), (i, j, k)]
+
+
+def assert_kernel_matches_oracle(n, r, weights, sets):
+    """weighted_sums against the stdlib enumerator: exact in Fraction,
+    within 1e-12 relative in float, and to 36 digits in 40-digit mpf."""
+    weights = [Fraction(t) for t in weights]
+    expected = [oracle_pinned_sum(n, r, weights, s) for s in sets]
+    assert weighted_sums(weights, n, r, sets, Fraction(1)) == expected
+    floats = weighted_sums([float(t) for t in weights], n, r, sets, 1.0)
+    assert floats == [pytest.approx(float(z), rel=1e-12) for z in expected]
+    with mp.workdps(40):
+        tw = [mp.mpf(t.numerator) / t.denominator for t in weights]
+        got = weighted_sums(tw, n, r, sets, mp.mpf(1))
+        for value, z in zip(got, expected):
+            assert abs(value - mp.mpf(z.numerator) / z.denominator) <= value * 1e-36
 
 
 def test_pair_order_n3():
@@ -94,6 +118,54 @@ def test_partition_function_trivial_values():
     assert pinned_sum(GhostWeightVector.uniform(2, 3)) == 9
     w = GhostWeightVector(1, 2, (Fraction(3),))
     assert pinned_sum(w) == 4
+
+
+@pytest.mark.parametrize(
+    "n, r, triple, unit_pairs",
+    [
+        (3, 3, (1, 2, 3), ()),
+        (4, 2, (1, 2, 3), ()),
+        (4, 3, (1, 2, 3), ((0, 2), (1, 3), (2, 4))),
+        (3, 4, (1, 2, 3), "all"),
+        (4, 3, (1, 1, 2), ()),
+        (3, 2, (2, 2, 2), ((1, 2),)),
+        (5, 2, (1, 2, 5), ()),
+        (5, 3, (4, 5, 2), ((0, 1), (3, 5))),
+        (1, 3, (1, 1, 1), ()),
+    ],
+)
+def test_weighted_sums_match_the_brute_force_oracle(n, r, triple, unit_pairs):
+    order = pair_order(n)
+    weights = list(random_weights(n, r, trial_rng(35, n * r)).weights)
+    for pair in order.pairs if unit_pairs == "all" else unit_pairs:
+        weights[order.index_of[pair]] = Fraction(1)
+    assert_kernel_matches_oracle(n, r, weights, derivative_sets(*triple))
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(2, 4))
+    ratio = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+    size = len(pair_order(n))
+    weights = draw(st.lists(ratio, min_size=size, max_size=size))
+    sites = st.integers(1, n)
+    triple = draw(st.tuples(sites, sites, sites))
+    return n, r, [1 + x for x in weights], triple
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel_cases())
+def test_weighted_sums_property_against_the_oracle(case):
+    n, r, weights, triple = case
+    assert_kernel_matches_oracle(n, r, weights, derivative_sets(*triple))
+
+
+def test_weighted_sums_reject_sites_out_of_range():
+    w = GhostWeightVector.uniform(3, 2)
+    for sites in ((0,), (1, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            weighted_sums(w.weights, 3, 2, [(), sites], Fraction(1))
 
 
 def test_summed_ghost_is_r_times_fixed_ghost():
