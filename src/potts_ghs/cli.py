@@ -110,14 +110,16 @@ def _trials(n: int, r: int, mode: str, trials: int, seed: int):
 
 
 def _weights_to_model(weights: GhostWeightVector) -> ModelSpec:
-    """Physical parameters J = log t for the finite-difference oracle."""
+    """Physical parameters J = log t for the finite-difference oracle; a t
+    beyond the float range takes its log from its numerator and denominator."""
     couplings = {}
     fields = [0.0] * weights.n_sites
     for (i, j), t in zip(pair_order(weights.n_sites).pairs, weights.weights):
+        log_t = math.log(t) if t < 2**1023 else math.log(t.numerator) - math.log(t.denominator)
         if i == 0:
-            fields[j - 1] = math.log(t)
+            fields[j - 1] = log_t
         else:
-            couplings[(i, j)] = math.log(t)
+            couplings[(i, j)] = log_t
     return ModelSpec(
         n_sites=weights.n_sites,
         n_states=weights.n_states,

@@ -1,4 +1,4 @@
-"""Equality-constraint matrices and their signed Laurent coefficients.
+"""Constraint matrices, constrained partition sums and the five-term combiner.
 
 The scaled curvature sum attached to the site triple (1, 2, 3) is a signed
 combination of five products of three constrained partition sums.  Each
@@ -12,20 +12,24 @@ factor carries built-in equalities among the ghost site 0 and the sites
     +2 * F(0=1) * F(0=2) * F(0=3)
 
 where F(...) sums the configuration weight over all spins *including the
-ghost*, subject to the listed equalities.  A constraint matrix A adds, for
-each pair p with column entry a(p, c) = 1, the equality sigma_i = sigma_j of
-that pair to factor c; its coefficient is the signed sum of r**(number of
-blocks) over the five terms, an integer Laurent polynomial in r.
+ghost*, subject to the listed equalities.  By colour symmetry
+F(0=S) = r * Z_S, with Z_S the pinned sum of ``model.weighted_sums``;
+``ghs_combination`` forms the five products in any ring, and
+``constrained_sum`` is a quotient of ``weighted_sums``.  Their independent
+check is the stdlib enumerator ``tests/brute_force.py``.  A constraint
+matrix A adds, for each pair p with column entry a(p, c) = 1, the equality
+sigma_i = sigma_j of that pair to factor c; its coefficient is the signed
+sum of r**(number of blocks) over the five terms, an integer Laurent
+polynomial in r.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Mapping
 
 from .laurent import LaurentPoly
-from .model import GhostWeightVector, pair_order
+from .model import GhostWeightVector, pair_order, weighted_sums
 from .partitions import block_count, merge_constraints
 
 # (sign, per-factor built-in equalities) for the five terms above.
@@ -43,6 +47,18 @@ GHS_FACTORS = tuple(dict.fromkeys(eqs for _, triple in GHS_TERMS for eqs in trip
 GHS_FACTOR_TERMS = tuple(
     (sign, tuple(GHS_FACTORS.index(eqs) for eqs in triple)) for sign, triple in GHS_TERMS
 )
+# The sites each GHS_FACTORS entry ties to the ghost: F(0=S) = r * Z_S.
+GHS_PINNED_SITES = tuple(frozenset(j for _, j in eqs) for eqs in GHS_FACTORS)
+
+
+def ghs_combination(factors, zero):
+    """Sum of sign * f[b1] * f[b2] * f[b3] over GHS_FACTOR_TERMS, where
+    ``factors`` holds one value per GHS_FACTORS entry in any ring (Fraction,
+    float, mpf, XPoly) and ``zero`` is that ring's zero."""
+    total = zero
+    for sign, (b1, b2, b3) in GHS_FACTOR_TERMS:
+        total = total + sign * (factors[b1] * factors[b2] * factors[b3])
+    return total
 
 
 @dataclass(frozen=True)
@@ -97,34 +113,28 @@ def constrained_sum(
     All n_sites + 1 spins, the ghost included, range over {1, ..., r} subject
     to sigma_i = sigma_j for each equality; pairs outside ``active_pairs``
     contribute no weight.  With no equalities and no active pairs the value
-    is r**(n_sites + 1).
+    is r**(n_sites + 1).  The blocks are the sites of a quotient model, the
+    ghost's block 0 pinned (a factor r): active pairs inside a block fold
+    into a prefactor, those between two blocks into one quotient pair weight.
     """
-    n = weights.n_sites
     r = weights.n_states
-    index = merge_constraints(n, equalities)
-    # Integer-scaled accumulation: factor t = num/den per active pair, with
-    # the common denominator pulled out front.
-    prefactor = 1
-    denominator = 1
-    var_pairs = []
+    index = merge_constraints(weights.n_sites, equalities)
+    n_blocks = max(index) + 1
+    prefactor = Fraction(1)
+    quotient = {}
     for i, j in active_pairs:
-        if i > j:
-            i, j = j, i
         t = weights.weight_of(i, j)
-        num, den = t.numerator, t.denominator
-        denominator *= den
-        bi, bj = index[i], index[j]
-        if bi == bj or num == den:
-            prefactor *= num
+        bi, bj = sorted((index[i], index[j]))
+        if bi == bj:
+            prefactor *= t
         else:
-            var_pairs.append((bi, bj, num, den))
-    total = 0
-    for assign in product(range(r), repeat=max(index) + 1):
-        acc = prefactor
-        for bi, bj, num, den in var_pairs:
-            acc *= num if assign[bi] == assign[bj] else den
-        total += acc
-    return Fraction(total, denominator)
+            quotient[bi, bj] = quotient.get((bi, bj), 1) * t
+    if n_blocks == 1:
+        return r * prefactor
+    pairs = pair_order(n_blocks - 1).pairs
+    quotient_weights = [quotient.get(pair, Fraction(1)) for pair in pairs]
+    z = weighted_sums(quotient_weights, n_blocks - 1, r, [()], Fraction(1))[0]
+    return r * prefactor * z
 
 
 def matrix_coefficient(matrix: ConstraintMatrix) -> LaurentPoly:

@@ -8,22 +8,23 @@ five-term truncated triple correlation
 
 where d_i indicates site i being in state 1 and repeated indices merge.
 ``ghs_sum`` computes the same quantity for the triple (1, 2, 3) scaled by
-r**3 Z**3, directly as a signed combination of ghost-summed constrained
-partition sums — an independent route used to cross-check the five-term
-formula.  A high-precision finite-difference oracle backs the analytic
-values numerically.  It takes a single ``weighted_sums`` pass at the
-unshifted weights and evaluates every stencil point in closed form, so it
-shares the enumeration with the analytic routes but not the five-term
-combiner.
+r**3 Z**3, as the signed combination of ghost-summed constrained partition
+sums F(0=S) = r * Z_S.  Both take their eight pinned sums Z_S from one
+``weighted_sums`` pass and form the five products with
+``constraints.ghs_combination``; their independent check is the stdlib
+enumerator ``tests/brute_force.py``.  A high-precision finite-difference
+oracle backs the analytic values numerically.  It takes a single
+``weighted_sums`` pass at the unshifted weights and evaluates every stencil
+point in closed form, so it shares the enumeration with the analytic routes
+but not the five-term combiner.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import mpmath as mp
 
-from .constraints import GHS_FACTOR_TERMS, GHS_FACTORS, constrained_sum
+from .constraints import GHS_PINNED_SITES, ghs_combination
 from .expansion import CapacityError
 from .model import (
     GhostWeightVector,
@@ -46,25 +47,14 @@ def _check_sites(n_sites: int, *sites: int) -> None:
 def _truncated_triple(weight_seq, n_sites: int, n_states: int, i, j, k, one):
     """The five-term truncated triple correlation in the ring of ``one``."""
     _check_sites(n_sites, i, j, k)
-    sums = weighted_sums(
-        weight_seq,
-        n_sites,
-        n_states,
-        [(), {i, j, k}, {i, k}, {i, j}, {j, k}, {i}, {j}, {k}],
-        one,
-    )
-    z, cijk, cik, cij, cjk, ci, cj, ck = sums
+    pinned = [{(i, j, k)[s - 1] for s in sites} for sites in GHS_PINNED_SITES]
+    sums = weighted_sums(weight_seq, n_sites, n_states, pinned, one)
+    z = sums[0]
     # z bounds every other sum, so a finite z keeps each ratio in [0, 1];
     # z * 0 == 0 fails only when a float z has overflowed to inf or NaN.
     if z * 0 != 0:
         raise CapacityError("the partition sum overflows double precision")
-    return (
-        cijk / z
-        - (cik / z) * (cj / z)
-        - (cij / z) * (ck / z)
-        - (cjk / z) * (ci / z)
-        + 2 * (ci / z) * (cj / z) * (ck / z)
-    )
+    return ghs_combination([zs / z for zs in sums], one - one)
 
 
 def second_derivative_analytic(
@@ -105,8 +95,11 @@ def second_derivative_fd(
     small steps; the returned value is a float.
     """
     _check_sites(model.n_sites, i, j, k)
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError("step h must be positive and finite")
+    # Rounding adds about 10**-FD_PRECISION_DPS / h**2; above 1 the O(h**2)
+    # truncation error is as large as the value.  NaN fails the comparison.
+    lowest = 10 ** (-FD_PRECISION_DPS // 4)
+    if not lowest <= h <= 1:
+        raise ValueError(f"step h must lie in [{lowest:g}, 1], got {h!r}")
     with mp.workdps(FD_PRECISION_DPS):
         tw = [
             mp.exp(mp.mpf(model.fields[b - 1] if a == 0 else model.coupling(a, b)))
@@ -144,17 +137,14 @@ def ghs_sum(weights: GhostWeightVector) -> Fraction:
     """The scaled curvature sum for the site triple (1, 2, 3).
 
     Signed combination of products of ghost-summed constrained partition
-    sums with every pair weight active; equals r**3 Z**3 times the analytic
-    second derivative of m_1 in the fields at sites 2 and 3.
+    sums F(0=S) = r * Z_S with every pair weight active; equals r**3 Z**3
+    times the analytic second derivative of m_1 in the fields at sites 2, 3.
     """
     if weights.n_sites < 3:
         raise ValueError("the curvature sum needs n_sites >= 3")
-    all_pairs = pair_order(weights.n_sites).pairs
-    factors = [constrained_sum(weights, eqs, all_pairs) for eqs in GHS_FACTORS]
-    total = Fraction(0)
-    for sign, (b1, b2, b3) in GHS_FACTOR_TERMS:
-        total += sign * (factors[b1] * factors[b2] * factors[b3])
-    return total
+    r = weights.n_states
+    sums = weighted_sums(weights.weights, weights.n_sites, r, GHS_PINNED_SITES, Fraction(1))
+    return r**3 * ghs_combination(sums, Fraction(0))
 
 
 def second_derivative_via_sum(

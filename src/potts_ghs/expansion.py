@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .constraints import GHS_FACTOR_TERMS, GHS_FACTORS, constrained_sum
+from .constraints import GHS_FACTORS, constrained_sum, ghs_combination
 from .laurent import LaurentPoly
 from .model import CapacityError, GhostWeightVector, pair_order
 from .partitions import block_count
@@ -44,11 +44,7 @@ def _factor_product(window: dict[int, tuple[int, int]], coefficient) -> XPoly:
         XPoly({mono: coefficient(eqs + pairs) for mono, pairs in subsets})
         for eqs in GHS_FACTORS
     ]
-    total = XPoly.zero()
-    for sign, (b1, b2, b3) in GHS_FACTOR_TERMS:
-        term_poly = factor_polys[b1] * factor_polys[b2] * factor_polys[b3]
-        total = total + sign * term_poly
-    return total
+    return ghs_combination(factor_polys, XPoly.zero())
 
 
 @lru_cache(maxsize=None)

@@ -588,6 +588,35 @@ def test_derivative_rejects_nan_step():
     assert "step" in result.stderr
 
 
+@pytest.mark.parametrize("h", ["1e-320", "700"])
+def test_derivative_refuses_a_step_outside_the_stencil_range(h):
+    result = run_cli(
+        "derivative", "--n-sites", "4", "--r", "3",
+        "--i", "1", "--j", "2", "--k", "3", "--seed", "4", "--h-step", h,
+    )
+    assert result.returncode == 2
+    assert "step" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_derivative_takes_an_exact_weight_beyond_the_float_range(tmp_path):
+    doc = {
+        "n_sites": 3,
+        "n_states": 3,
+        "mode": "exact-weights",
+        "couplings": [[1, 2, "3/2"], [1, 3, "5/4"], [2, 3, str(10**400)]],
+        "fields": ["2", "3/2", "7/5"],
+    }
+    out = tmp_path / "report.json"
+    result = run_cli(
+        "derivative", "--model", write_exact_model(tmp_path, doc),
+        "--i", "1", "--j", "2", "--k", "3", "--output", str(out),
+    )
+    assert result.returncode == 0, result.stderr
+    checks = load_report(out)["checks"]
+    assert [c["status"] for c in checks] == ["pass", "pass"]
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 

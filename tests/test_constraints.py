@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potts_ghs import (
     GHS_TERMS,
@@ -94,20 +96,33 @@ def test_constrained_sum_cross_block_pair():
     assert constrained_sum(w, (), ((1, 2),)) == 8 * 3 + 8
 
 
-def test_constrained_sum_matches_brute_force():
-    rng = random.Random("constrained:0")
-    order = pair_order(3)
-    all_pairs = list(order.pairs)
-    for _ in range(25):
-        r = rng.choice([2, 3])
-        w = random_weights(3, r, rng)
-        equalities = tuple(
-            p for p in all_pairs if rng.random() < 0.3
-        )
-        active = tuple(p for p in all_pairs if rng.random() < 0.4)
-        assert constrained_sum(w, equalities, active) == brute_constrained_sum(
-            w, equalities, active
-        )
+@st.composite
+def constrained_cases(draw):
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(2, 4))
+    pairs = pair_order(n).pairs
+    ratio = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+    deviations = draw(st.lists(ratio, min_size=len(pairs), max_size=len(pairs)))
+    weights = GhostWeightVector(n, r, tuple(1 + x for x in deviations))
+    if draw(st.booleans()):
+        # Every site tied to the ghost: one block, no quotient enumeration.
+        equalities = [(0, s) for s in range(1, n + 1)]
+    else:
+        equalities = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
+    # Repeated and reversed pairs; with equalities, several active pairs
+    # land on one quotient pair.
+    either_way = st.sampled_from(pairs + tuple((j, i) for i, j in pairs))
+    active = draw(st.lists(either_way, max_size=2 * len(pairs)))
+    return weights, equalities, active
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(constrained_cases())
+def test_constrained_sum_matches_brute_force(case):
+    weights, equalities, active = case
+    assert constrained_sum(weights, equalities, active) == brute_constrained_sum(
+        weights, equalities, active
+    )
 
 
 # ---------------------------------------------------------------------------

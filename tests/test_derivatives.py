@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from brute_force import pinned_sum
+from brute_force import ghs_I, pinned_sum
 from potts_ghs import (
     CapacityError,
     GhostWeightVector,
@@ -133,6 +133,17 @@ def test_curvature_sum_bridge_identity():
         z = pinned_sum(n, r, w.weights)
         bridge = Fraction(r) ** 3 * z**3 * second_derivative_analytic(w, 1, 2, 3)
         assert ghs_sum(w) == bridge
+    # ghs_sum and the analytic route share weighted_sums and the five-term
+    # combiner, so both are also held to the stdlib enumerator.
+    for n in (3, 4, 5):
+        for r in (2, 3, 4):
+            weights = list(random_weights(n, r, trial_rng("bridge", n * r)).weights)
+            if r == 3:
+                order = pair_order(n)
+                for pair in ((0, 1), (1, 2), (2, n)):
+                    weights[order.index_of[pair]] = Fraction(1)
+            w = GhostWeightVector(n, r, tuple(weights))
+            assert ghs_sum(w) == ghs_I(n, r, weights), (n, r)
 
 
 def test_two_state_curvature_is_nonpositive():
@@ -278,7 +289,7 @@ def test_fd_rejects_nonpositive_step():
         second_derivative_fd(model, 1, 2, 3, h=0.0)
 
 
-@pytest.mark.parametrize("h", [float("nan"), float("inf")])
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), 1e-320, 1e308, 700.0])
 def test_fd_rejects_non_finite_step(h):
     model = random_model(3, 2, trial_rng("fd-step", 0))
     with pytest.raises(ValueError, match="step"):
