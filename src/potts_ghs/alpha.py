@@ -77,11 +77,21 @@ def alpha_table(n_sites: int = 3) -> AlphaTable:
     return AlphaTable(n_sites=n_sites, entries=dict(entries), symmetry_classes=classes)
 
 
+def expected_sign(n_states: int) -> str:
+    """The sign dichotomy: "<=0" at r = 2 and ">=0" at r >= 3."""
+    return "<=0" if n_states == 2 else ">=0"
+
+
+def has_expected_sign(value, n_states: int, tol=0) -> bool:
+    """Whether ``value`` has the expected sign at r = n_states, within ``tol``."""
+    return value <= tol if expected_sign(n_states) == "<=0" else value >= -tol
+
+
 def sign_report(table: AlphaTable, r_values: tuple[int, ...] | list[int]) -> dict:
     """Exact signs of every entry at each requested state count.
 
-    The expected pattern is <= 0 at r = 2 and >= 0 at r >= 3; state counts
-    below 2 are rejected.
+    The expected pattern is ``expected_sign``; state counts below 2 are
+    rejected.
     """
     r_values = tuple(r_values)
     if not r_values:
@@ -92,22 +102,20 @@ def sign_report(table: AlphaTable, r_values: tuple[int, ...] | list[int]) -> dic
     per_r = {}
     dichotomy = True
     for r in r_values:
-        expected = "<=0" if r == 2 else ">=0"
         violations = []
         counts = {"-1": 0, "0": 0, "+1": 0}
         for triple in sorted(table.entries):
             value = table.entries[triple].evaluate(r)
             sign = (value > 0) - (value < 0)
             counts[{-1: "-1", 0: "0", 1: "+1"}[sign]] += 1
-            bad = sign > 0 if r == 2 else sign < 0
-            if bad:
+            if not has_expected_sign(value, r):
                 violations.append(
                     {"entry": _triple_key(triple), "value": rational_str(value)}
                 )
         ok = not violations
         dichotomy = dichotomy and ok
         per_r[str(r)] = {
-            "expected": expected,
+            "expected": expected_sign(r),
             "sign_counts": counts,
             "violations": violations,
             "verdict": "pass" if ok else "fail",

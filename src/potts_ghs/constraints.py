@@ -15,12 +15,14 @@ where F(...) sums the configuration weight over all spins *including the
 ghost*, subject to the listed equalities.  By colour symmetry
 F(0=S) = r * Z_S, with Z_S the pinned sum of ``model.weighted_sums``;
 ``ghs_combination`` forms the five products in any ring, and
-``constrained_sum`` is a quotient of ``weighted_sums``.  Their independent
-check is the stdlib enumerator ``tests/brute_force.py``.  A constraint
-matrix A adds, for each pair p with column entry a(p, c) = 1, the equality
-sigma_i = sigma_j of that pair to factor c; its coefficient is the signed
-sum of r**(number of blocks) over the five terms, an integer Laurent
-polynomial in r.
+``_curvature_sum`` is the pass and combination that ``ghs_sum`` runs over
+Fraction and ``expand_partial`` over XPoly.  ``constrained_sum``, a
+quotient of ``weighted_sums``, is kept only for the benchmark's tracer.
+Their independent check is the stdlib enumerator ``tests/brute_force.py``.
+A constraint matrix A adds, for each pair p with column entry a(p, c) = 1,
+the equality sigma_i = sigma_j of that pair to factor c; its coefficient is
+the signed sum of r**(number of blocks) over the five terms, an integer
+Laurent polynomial in r.
 """
 from __future__ import annotations
 
@@ -59,6 +61,14 @@ def ghs_combination(factors, zero):
     for sign, (b1, b2, b3) in GHS_FACTOR_TERMS:
         total = total + sign * (factors[b1] * factors[b2] * factors[b3])
     return total
+
+
+def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
+    """The scaled curvature sum r**3 * sum sign * Z_S1 Z_S2 Z_S3 of the
+    triple (1, 2, 3), from one ``weighted_sums`` pass in the ring of ``one``
+    (Fraction for ``ghs_sum``, XPoly for the partial expansion)."""
+    sums = weighted_sums(weight_seq, n_sites, n_states, GHS_PINNED_SITES, one)
+    return n_states**3 * ghs_combination(sums, one - one)
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ sums F(0=S) = r * Z_S.  Both take their eight pinned sums Z_S from one
 ``weighted_sums`` pass and form the five products with
 ``constraints.ghs_combination``; their independent check is the stdlib
 enumerator ``tests/brute_force.py``.  A high-precision finite-difference
-oracle backs the analytic values numerically.  It takes a single
-``weighted_sums`` pass at the unshifted weights and evaluates every stencil
-point in closed form, so it shares the enumeration with the analytic routes
-but not the five-term combiner.
+oracle backs the analytic values numerically, on a physical model or on
+the exact weights themselves.  It takes a single ``weighted_sums`` pass at
+the unshifted weights and evaluates every stencil point in closed form, so
+it shares the enumeration with the analytic routes but not the five-term
+combiner.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .constraints import GHS_PINNED_SITES, ghs_combination
+from .constraints import GHS_PINNED_SITES, _curvature_sum, ghs_combination
 from .expansion import CapacityError
 from .model import (
     GhostWeightVector,
@@ -78,12 +79,14 @@ def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
 
 
 def second_derivative_fd(
-    model: ModelSpec, i: int, j: int, k: int, h: float = 1e-4
+    model: ModelSpec | GhostWeightVector, i: int, j: int, k: int, h: float = 1e-4
 ) -> float:
     """Central finite differences of the magnetization in the fields.
 
-    One enumeration at the unshifted weights gives the pinned sums Z_S for
-    the eight sets S of the stencil.  Shifting B_j by d multiplies each
+    The pair weights are e**J for a physical model and the exact t_p, each
+    rounded once to the working precision, for exact weights.  One
+    enumeration at the unshifted weights gives the pinned sums Z_S for the
+    eight sets S of the stencil.  Shifting B_j by d multiplies each
     configuration with site j in state 1 by e**d = 1 + a, a = expm1(d), so
     every stencil point is the closed form
 
@@ -101,10 +104,13 @@ def second_derivative_fd(
     if not lowest <= h <= 1:
         raise ValueError(f"step h must lie in [{lowest:g}, 1], got {h!r}")
     with mp.workdps(FD_PRECISION_DPS):
-        tw = [
-            mp.exp(mp.mpf(model.fields[b - 1] if a == 0 else model.coupling(a, b)))
-            for a, b in pair_order(model.n_sites).pairs
-        ]
+        if isinstance(model, GhostWeightVector):
+            tw = [mp.mpf(t.numerator) / t.denominator for t in model.weights]
+        else:
+            tw = [
+                mp.exp(mp.mpf(model.fields[b - 1] if a == 0 else model.coupling(a, b)))
+                for a, b in pair_order(model.n_sites).pairs
+            ]
         z, zj, zk, zjk, zi, zij, zik, zijk = weighted_sums(
             tw,
             model.n_sites,
@@ -142,9 +148,7 @@ def ghs_sum(weights: GhostWeightVector) -> Fraction:
     """
     if weights.n_sites < 3:
         raise ValueError("the curvature sum needs n_sites >= 3")
-    r = weights.n_states
-    sums = weighted_sums(weights.weights, weights.n_sites, r, GHS_PINNED_SITES, Fraction(1))
-    return r**3 * ghs_combination(sums, Fraction(0))
+    return _curvature_sum(weights.weights, weights.n_sites, weights.n_states, Fraction(1))
 
 
 def second_derivative_via_sum(

@@ -1,38 +1,41 @@
 """Polynomial expansion of the scaled curvature sum in the deviations X_p.
 
-Writing each pair weight as t_p = 1 + X_p and distributing, the five-term
-signed combination of constrained sums becomes a polynomial in the X_p whose
-monomial coefficients are signed r-powers aggregated over constraint
-matrices.  The expansion factorizes column by column: for each of the five
-terms and each of its three factors, summing r**(block count) over the
-subsets of expanded pairs yields a univariate-in-each-X polynomial, and the
-term is the product of its three factor polynomials.
+Writing each pair weight as t_p = 1 + X_p and distributing turns the
+curvature sum into a polynomial in the X_p.  At numeric weights that
+polynomial is the curvature sum itself, computed over XPoly:
+``expand_partial`` gives each expanded pair the weight 1 + X_p and each
+carried pair its exact weight, and runs the one ``weighted_sums`` pass and
+the five-term combiner that ``ghs_sum`` runs over Fraction.
 
-``expand_full`` keeps the full pair window symbolically (supported at
-n_sites = 3, where the window has 6 pairs and 2**6 subsets per factor);
-``expand_partial`` expands only the last s pairs of the order, carrying the
-remaining pairs exactly inside numeric constrained sums;
-``separation.reduced_expansion`` runs the symbolic product over the three
-core pairs alone.
+With the state count r symbolic the coefficients are Laurent polynomials in
+r, and the expansion factorizes column by column: for each of the eight
+built-in equality sets, summing r**(block count) over the subsets of
+expanded pairs yields a factor polynomial (the Fortuin-Kasteleyn subset
+sum), and the five-term combiner multiplies the factors.
+``expand_full`` runs this over every pair (supported at n_sites = 3, where
+the window has 6 pairs and 2**6 subsets per factor) and
+``separation.reduced_expansion`` over the three core pairs alone.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 
-from .constraints import GHS_FACTORS, constrained_sum, ghs_combination
+from .constraints import GHS_FACTORS, _curvature_sum, ghs_combination
 from .laurent import LaurentPoly
 from .model import CapacityError, GhostWeightVector, pair_order
 from .partitions import block_count
 from .xpoly import XPoly, monomial_key
 
 
-def _factor_product(window: dict[int, tuple[int, int]], coefficient) -> XPoly:
-    """The five-term signed combination of factor polynomials over a window.
+def _factor_product(n_sites: int, window: dict[int, tuple[int, int]]) -> XPoly:
+    """The five-term signed combination of factor polynomials over a window,
+    with r symbolic and every pair outside the window at weight 1.
 
     ``window`` maps the expanded pair indices to their site pairs.  The
     factor with built-in equalities ``eqs`` has one monomial per subset of
-    the window, the product of its X_p, with coefficient
-    ``coefficient(eqs + the subset's pairs)``.
+    the window, the product of its X_p, with coefficient r**(block count of
+    eqs + the subset's pairs).
     """
     items = tuple(window.items())
     subsets = []
@@ -41,7 +44,7 @@ def _factor_product(window: dict[int, tuple[int, int]], coefficient) -> XPoly:
         mono = monomial_key({p: 1 for p, _ in chosen})
         subsets.append((mono, tuple(pair for _, pair in chosen)))
     factor_polys = [
-        XPoly({mono: coefficient(eqs + pairs) for mono, pairs in subsets})
+        XPoly({m: LaurentPoly({block_count(n_sites, eqs + ps): 1}) for m, ps in subsets})
         for eqs in GHS_FACTORS
     ]
     return ghs_combination(factor_polys, XPoly.zero())
@@ -59,10 +62,7 @@ def expand_full(n_sites: int) -> XPoly:
         raise CapacityError(
             f"full expansion is supported at n_sites=3 only (got {n_sites})"
         )
-    return _factor_product(
-        dict(enumerate(pair_order(n_sites).pairs)),
-        lambda eqs: LaurentPoly({block_count(n_sites, eqs): 1}),
-    )
+    return _factor_product(n_sites, dict(enumerate(pair_order(n_sites).pairs)))
 
 
 MAX_DENSE_WINDOW = 6
@@ -73,9 +73,9 @@ def expand_partial(weights: GhostWeightVector, s: int) -> XPoly:
 
     The result has exact rational coefficients specific to the instance; its
     value at X_p = t_p - 1 for the expanded pairs equals the full curvature
-    sum of the instance.  The enumeration is dense in 2**s subsets per
-    factor, so the window is capped at MAX_DENSE_WINDOW pairs — the same
-    desk-scale bound that limits the full expansion to three sites.
+    sum of the instance.  It is dense in up to 4**s monomials, so the window
+    is capped at MAX_DENSE_WINDOW pairs — the same desk-scale bound that
+    limits the full expansion to three sites.
     """
     order = pair_order(weights.n_sites)
     n_pairs = len(order)
@@ -86,8 +86,9 @@ def expand_partial(weights: GhostWeightVector, s: int) -> XPoly:
             f"dense window of {s} pairs exceeds the supported size "
             f"({MAX_DENSE_WINDOW}); pick a smaller window"
         )
-    carried = order.pairs[: n_pairs - s]
-    return _factor_product(
-        {p: order.pairs[p] for p in range(n_pairs - s, n_pairs)},
-        lambda eqs: constrained_sum(weights, eqs, carried),
+    first = n_pairs - s
+    weight_seq = [XPoly.constant(t) for t in weights.weights[:first]]
+    weight_seq += [XPoly({(): 1, ((p, 1),): 1}) for p in range(first, n_pairs)]
+    return _curvature_sum(
+        weight_seq, weights.n_sites, weights.n_states, XPoly.constant(Fraction(1))
     )

@@ -38,7 +38,6 @@ from .expansion import _factor_product, expand_full
 from .laurent import LaurentPoly
 from .model import GhostWeightVector, instance_digest, pair_order
 from .modelfile import rational_str
-from .partitions import block_count
 from .sampling import random_weights, trial_rng
 from .xpoly import XPoly, xpoly_eval
 
@@ -84,10 +83,7 @@ def reduced_expansion(n_sites: int) -> XPoly:
     weight is 1.
     """
     order = pair_order(n_sites)
-    return _factor_product(
-        {p: order.pairs[p] for p in order.core_indices},
-        lambda eqs: LaurentPoly({block_count(n_sites, eqs): 1}),
-    )
+    return _factor_product(n_sites, {p: order.pairs[p] for p in order.core_indices})
 
 
 @lru_cache(maxsize=None)

@@ -17,10 +17,6 @@ from .modelfile import rational_str
 Monomial = tuple[tuple[int, int], ...]
 
 
-def _nonzero(coeff) -> bool:
-    return bool(coeff) if isinstance(coeff, LaurentPoly) else coeff != 0
-
-
 def monomial_key(exponents: Mapping[int, int]) -> Monomial:
     """Canonical monomial from a {pair index: exponent} map."""
     items = []
@@ -45,7 +41,7 @@ class XPoly:
             for mono, coeff in terms.items():
                 key = monomial_key(dict(mono))
                 merged[key] = merged[key] + coeff if key in merged else coeff
-        self._terms = {k: c for k, c in merged.items() if _nonzero(c)}
+        self._terms = {k: c for k, c in merged.items() if c}
 
     @classmethod
     def zero(cls) -> "XPoly":

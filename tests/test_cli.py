@@ -599,6 +599,25 @@ def test_derivative_refuses_a_step_outside_the_stencil_range(h):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_derivative_refuses_a_bad_step_before_the_exact_routes(monkeypatch, capsys, mode):
+    from potts_ghs import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact route ran before the step was checked")
+
+    for name in (
+        "second_derivative_analytic",
+        "second_derivative_via_sum",
+        "second_derivative_float",
+    ):
+        monkeypatch.setattr(cli, name, forbidden)
+    argv = ["derivative", "--n-sites", "4", "--r", "3", "--mode", mode, "--seed", "4"]
+    argv += ["--i", "1", "--j", "2", "--k", "3", "--h-step", "700"]
+    assert cli.main(argv) == 2
+    assert "step" in capsys.readouterr().err
+
+
 def test_derivative_takes_an_exact_weight_beyond_the_float_range(tmp_path):
     doc = {
         "n_sites": 3,

@@ -273,6 +273,30 @@ def test_fd_matches_analytic_distinct_and_repeated():
         assert fd == pytest.approx(analytic, rel=1e-6, abs=1e-10)
 
 
+def test_fd_on_exact_weights_matches_the_analytic_value():
+    # The oracle takes the exact weights themselves, so a weight far beyond
+    # the float range needs no logarithm.  The relative part of the CLI's
+    # agreement tolerance suffices at every instance.
+    rng = random.Random("deriv:exact-fd")
+    huge = GhostWeightVector.from_pair_map(
+        3,
+        3,
+        {
+            (1, 2): Fraction(3, 2),
+            (1, 3): Fraction(5, 4),
+            (2, 3): 10**400,
+            (0, 1): 2,
+            (0, 2): Fraction(3, 2),
+            (0, 3): Fraction(7, 5),
+        },
+    )
+    for w in (random_weights(3, 2, rng), random_weights(4, 3, rng), huge):
+        for triple in ((1, 2, 3), (1, 2, 2), (2, 1, 1), (1, 1, 1)):
+            analytic = float(second_derivative_analytic(w, *triple))
+            fd = second_derivative_fd(w, *triple, h=1e-4)
+            assert fd == pytest.approx(analytic, rel=1e-6, abs=0), (triple, analytic)
+
+
 def test_fd_error_shrinks_quadratically():
     model = random_model(3, 2, trial_rng("fd-order", 0))
     exact = second_derivative_float(model, 1, 2, 3)

@@ -9,6 +9,7 @@ import pytest
 
 from brute_force import ghs_I
 from potts_ghs import (
+    GHS_TERMS,
     CapacityError,
     ConstraintMatrix,
     LaurentPoly,
@@ -23,6 +24,7 @@ from potts_ghs import (
     reduced_expansion,
     xpoly_eval,
 )
+from test_constraints import brute_constrained_sum
 from test_xpoly import substitute
 
 CORE = set(pair_order(3).core_indices)
@@ -185,7 +187,7 @@ def test_partial_expansion_evaluates_to_curvature_sum():
     rng = random.Random("expansion:3")
     for n_sites, r, windows in ((3, 2, (1, 2, 3, 6)), (3, 3, (1, 2, 3, 6)), (4, 2, (1, 2, 3))):
         w = random_weights(n_sites, r, rng)
-        expected = ghs_sum(w)
+        expected = ghs_I(n_sites, r, w.weights)
         xs = w.x_values()
         for s in windows:
             poly = expand_partial(w, s)
@@ -220,3 +222,39 @@ def test_full_window_partial_matches_symbolic_at_r():
     for mono, coeff in symbolic.items():
         assert numeric.coefficient(dict(mono)) == coeff.evaluate(4)
     assert len(numeric) == len(symbolic)
+
+
+def reference_partial(weights, s: int) -> XPoly:
+    """The expansion over the last s pairs by its definition.
+
+    With t_p = 1 + X_p on the window, each constrained sum F(eqs) expands as
+    the sum over window subsets A of prod_{p in A} X_p times F(eqs + A) with
+    the carried pairs active and the rest of the window at weight 1; the
+    five signed products of GHS_TERMS then combine the eight factors.
+    """
+    pairs = pair_order(weights.n_sites).pairs
+    first = len(pairs) - s
+    carried = pairs[:first]
+    factors = {}
+    for eqs in {eqs for _, triple in GHS_TERMS for eqs in triple}:
+        terms = {}
+        for mask in range(1 << s):
+            chosen = [first + b for b in range(s) if mask >> b & 1]
+            equalities = eqs + tuple(pairs[p] for p in chosen)
+            terms[tuple((p, 1) for p in chosen)] = brute_constrained_sum(
+                weights, equalities, carried
+            )
+        factors[eqs] = XPoly(terms)
+    total = XPoly.zero()
+    for sign, (a, b, c) in GHS_TERMS:
+        total = total + sign * (factors[a] * factors[b] * factors[c])
+    return total
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("n_sites", [3, 4, 5])
+def test_partial_expansion_matches_the_subset_expansion(n_sites, r):
+    rng = random.Random(f"expansion:reference:{n_sites}:{r}")
+    w = random_weights(n_sites, r, rng)
+    for s in (1, 2, 3, 4):
+        assert expand_partial(w, s) == reference_partial(w, s), s
