@@ -406,6 +406,9 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"bad integer list {text!r}") from exc
     if not values:
         raise UsageError(f"empty integer list {text!r}")
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"repeated value {value} in integer list {text!r}")
     return values
 
 

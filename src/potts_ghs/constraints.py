@@ -14,10 +14,10 @@ factor carries built-in equalities among the ghost site 0 and the sites
 where F(...) sums the configuration weight over all spins *including the
 ghost*, subject to the listed equalities.  By colour symmetry
 F(0=S) = r * Z_S, with Z_S the pinned sum of ``model.weighted_sums``;
-``ghs_combination`` forms the five products in any ring, and
-``_curvature_sum`` is the pass and combination that ``ghs_sum`` runs over
-Fraction and ``expand_partial`` over XPoly.  ``constrained_sum``, a
-quotient of ``weighted_sums``, is kept only for the benchmark's tracer.
+``ghs_combination`` forms the sum in any ring with F() factored out of four
+terms, and ``_curvature_sum`` is the pass and combination that ``ghs_sum``
+runs over Fraction and ``expand_partial`` over XPoly.  ``constrained_sum``,
+a quotient of ``weighted_sums``, is kept only for the benchmark's tracer.
 Their independent check is the stdlib enumerator ``tests/brute_force.py``.
 A constraint matrix A adds, for each pair p with column entry a(p, c) = 1,
 the equality sigma_i = sigma_j of that pair to factor c; its coefficient is
@@ -43,24 +43,20 @@ GHS_TERMS: tuple[tuple[int, tuple[tuple[tuple[int, int], ...], ...]], ...] = (
     (+2, (((0, 1),), ((0, 2),), ((0, 3),))),
 )
 
-# The 8 distinct built-in equality sets of GHS_TERMS, in order of first use,
-# and each term with its three factors re-indexed into that tuple.
+# The 8 distinct built-in equality sets of GHS_TERMS, in order of first use:
+# (), 0=123, 0=12, 0=3, 0=13, 0=2, 0=23, 0=1.
 GHS_FACTORS = tuple(dict.fromkeys(eqs for _, triple in GHS_TERMS for eqs in triple))
-GHS_FACTOR_TERMS = tuple(
-    (sign, tuple(GHS_FACTORS.index(eqs) for eqs in triple)) for sign, triple in GHS_TERMS
-)
 # The sites each GHS_FACTORS entry ties to the ghost: F(0=S) = r * Z_S.
 GHS_PINNED_SITES = tuple(frozenset(j for _, j in eqs) for eqs in GHS_FACTORS)
 
 
-def ghs_combination(factors, zero):
-    """Sum of sign * f[b1] * f[b2] * f[b3] over GHS_FACTOR_TERMS, where
-    ``factors`` holds one value per GHS_FACTORS entry in any ring (Fraction,
-    float, mpf, XPoly) and ``zero`` is that ring's zero."""
-    total = zero
-    for sign, (b1, b2, b3) in GHS_FACTOR_TERMS:
-        total = total + sign * (factors[b1] * factors[b2] * factors[b3])
-    return total
+def ghs_combination(factors):
+    """F() * (F() F(0=123) - sum F(0=ij) F(0=k)) + 2 F(0=1) F(0=2) F(0=3):
+    the GHS_TERMS sum with F() factored out of the four terms that share it,
+    from one value per GHS_FACTORS entry (in that order) in any ring
+    (Fraction, float, mpf, XPoly)."""
+    free, f123, f12, f3, f13, f2, f23, f1 = factors
+    return free * (free * f123 - f12 * f3 - f13 * f2 - f23 * f1) + 2 * (f1 * f2 * f3)
 
 
 def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
@@ -68,7 +64,7 @@ def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
     triple (1, 2, 3), from one ``weighted_sums`` pass in the ring of ``one``
     (Fraction for ``ghs_sum``, XPoly for the partial expansion)."""
     sums = weighted_sums(weight_seq, n_sites, n_states, GHS_PINNED_SITES, one)
-    return n_states**3 * ghs_combination(sums, one - one)
+    return n_states**3 * ghs_combination(sums)
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ where d_i indicates site i being in state 1 and repeated indices merge.
 ``ghs_sum`` computes the same quantity for the triple (1, 2, 3) scaled by
 r**3 Z**3, as the signed combination of ghost-summed constrained partition
 sums F(0=S) = r * Z_S.  Both take their eight pinned sums Z_S from one
-``weighted_sums`` pass and form the five products with
+``weighted_sums`` pass and combine them with the staged
 ``constraints.ghs_combination``; their independent check is the stdlib
 enumerator ``tests/brute_force.py``.  A high-precision finite-difference
 oracle backs the analytic values numerically, on a physical model or on
 the exact weights themselves.  It takes a single ``weighted_sums`` pass at
 the unshifted weights and evaluates every stencil point in closed form, so
-it shares the enumeration with the analytic routes but not the five-term
-combiner.
+it shares the enumeration with the analytic routes but not the combiner.
 """
 from __future__ import annotations
 
@@ -55,7 +54,7 @@ def _truncated_triple(weight_seq, n_sites: int, n_states: int, i, j, k, one):
     # z * 0 == 0 fails only when a float z has overflowed to inf or NaN.
     if z * 0 != 0:
         raise CapacityError("the partition sum overflows double precision")
-    return ghs_combination([zs / z for zs in sums], one - one)
+    return ghs_combination([zs / z for zs in sums])
 
 
 def second_derivative_analytic(

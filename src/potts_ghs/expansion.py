@@ -5,13 +5,13 @@ curvature sum into a polynomial in the X_p.  At numeric weights that
 polynomial is the curvature sum itself, computed over XPoly:
 ``expand_partial`` gives each expanded pair the weight 1 + X_p and each
 carried pair its exact weight, and runs the one ``weighted_sums`` pass and
-the five-term combiner that ``ghs_sum`` runs over Fraction.
+the combiner that ``ghs_sum`` runs over Fraction.
 
 With the state count r symbolic the coefficients are Laurent polynomials in
 r, and the expansion factorizes column by column: for each of the eight
 built-in equality sets, summing r**(block count) over the subsets of
 expanded pairs yields a factor polynomial (the Fortuin-Kasteleyn subset
-sum), and the five-term combiner multiplies the factors.
+sum), and ``ghs_combination`` multiplies the factors in its staged form.
 ``expand_full`` runs this over every pair (supported at n_sites = 3, where
 the window has 6 pairs and 2**6 subsets per factor) and
 ``separation.reduced_expansion`` over the three core pairs alone.
@@ -47,7 +47,7 @@ def _factor_product(n_sites: int, window: dict[int, tuple[int, int]]) -> XPoly:
         XPoly({m: LaurentPoly({block_count(n_sites, eqs + ps): 1}) for m, ps in subsets})
         for eqs in GHS_FACTORS
     ]
-    return ghs_combination(factor_polys, XPoly.zero())
+    return ghs_combination(factor_polys)
 
 
 @lru_cache(maxsize=None)

@@ -72,7 +72,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        # A constant compares equal to its int, so it hashes as that int.
+        c = self._coeffs
+        return hash(c.get(0, 0) if c.keys() <= {0} else frozenset(c.items()))
 
     # -- ring operations ---------------------------------------------------
 

@@ -400,6 +400,21 @@ def test_alpha_table_bad_r_values():
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, repeated",
+    [
+        (("sweep", "--n-sites-list", "3,3", "--r-list", "2", "--trials", "1"), 3),
+        (("sweep", "--n-sites-list", "3", "--r-list", "2,3,2", "--trials", "1"), 2),
+        (("alpha-table", "--r-values", "3,3,2"), 3),
+    ],
+    ids=["n-sites-list", "r-list", "r-values"],
+)
+def test_repeated_list_values_are_usage_errors(argv, repeated):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert f"repeated value {repeated}" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

@@ -13,11 +13,13 @@ from potts_ghs import (
     ConstraintMatrix,
     GhostWeightVector,
     LaurentPoly,
+    XPoly,
     constrained_sum,
     matrix_coefficient,
     pair_order,
     random_weights,
 )
+from potts_ghs.constraints import GHS_FACTORS, ghs_combination
 
 
 def brute_constrained_sum(weights, equalities, active_pairs):
@@ -68,6 +70,18 @@ def test_ghs_terms_each_ghost_pair_used_three_times_per_sign_weight():
             for sign, builtins in GHS_TERMS
         )
         assert weight == 0
+
+
+def test_ghs_combination_is_the_five_term_definition_in_a_free_ring():
+    # Eight independent variables as the factors: any swapped index or sign
+    # in the staged combiner changes some monomial of the result.
+    x = [XPoly.term(1, {a: 1}) for a in range(len(GHS_FACTORS))]
+    expected = XPoly.zero()
+    for sign, triple in GHS_TERMS:
+        a, b, c = (GHS_FACTORS.index(eqs) for eqs in triple)
+        expected = expected + sign * (x[a] * x[b] * x[c])
+    assert len(expected) == 5
+    assert ghs_combination(x) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,12 @@ def test_equality_with_integers():
     assert hash(LaurentPoly({2: 3, 0: -1})) == hash(LaurentPoly({0: -1, 2: 3}))
 
 
+def test_hash_agrees_with_integer_equality():
+    assert len({LaurentPoly({0: 5}), 5}) == 1
+    assert len({LaurentPoly.zero(), 0}) == 1
+    assert len({LaurentPoly({1: 5}), 5}) == 2
+
+
 def test_ring_laws_on_seeded_polynomials():
     rng = random.Random(11)
     for _ in range(60):
