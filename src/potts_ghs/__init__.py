@@ -31,7 +31,6 @@ from .alpha import (
 from .constraints import (
     GHS_TERMS,
     ConstraintMatrix,
-    constrained_sum,
     matrix_coefficient,
 )
 from .derivatives import (
@@ -51,7 +50,7 @@ from .model import (
     relabel_sites,
 )
 from .modelfile import ModelFileError, dump_weights, load_model, parse_rational, rational_str
-from .partitions import block_count, merge_constraints
+from .partitions import block_count
 from .sampling import random_model, random_weights, trial_rng
 from .separation import (
     SeparatedForm,
@@ -80,7 +79,6 @@ __all__ = [
     "assemble_separated",
     "block_count",
     "compare_reference",
-    "constrained_sum",
     "dump_weights",
     "evaluate_separated",
     "expand_full",
@@ -89,7 +87,6 @@ __all__ = [
     "instance_digest",
     "load_model",
     "matrix_coefficient",
-    "merge_constraints",
     "monomial_key",
     "pair_order",
     "parse_rational",

@@ -89,6 +89,20 @@ def _sign_check(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
     return has_expected_sign(value, r, tol), witness
 
 
+def _load_model(args, replaced: tuple[str, ...]) -> tuple:
+    """The instance of --model and the pipeline it runs; the flags the file
+    replaces may not be passed, and --mode only to name that pipeline."""
+    for name in replaced:
+        if getattr(args, name) is not None:
+            raise UsageError(f"--{name.replace('_', '-')} cannot be combined with --model")
+    instance = load_model(args.model)
+    _check_work(instance.n_sites, instance.n_states)
+    mode = "exact" if isinstance(instance, GhostWeightVector) else "float"
+    if args.mode not in (None, mode):
+        raise UsageError(f"--mode {args.mode} does not match the {mode} model file")
+    return instance, mode
+
+
 def _trials(n: int, r: int, mode: str, trials: int, seed: int):
     """Validate one (n, r) cell, then return its seeded trials lazily as
     (k, ok, witness); a failing exact witness carries its model file."""
@@ -115,27 +129,29 @@ def _trials(n: int, r: int, mode: str, trials: int, seed: int):
 
 def _cmd_verify_ghs(args) -> tuple:
     if args.model:
-        instance = load_model(args.model)
-        _check_work(instance.n_sites, instance.n_states)
+        instance, mode = _load_model(args, ("n_sites", "r", "trials", "seed"))
         ok, witness = _sign_check(instance)
-        exact = isinstance(instance, GhostWeightVector)
-        name = "curvature-sign" if exact else "curvature-sign-float"
-        config = {"model": args.model, "mode": None, "trials": None, "seed": None}
+        name = "curvature-sign" if mode == "exact" else "curvature-sign-float"
+        config = {"model": args.model, "mode": mode, "trials": None, "seed": None}
         return config, [_check(name, ok, witness)], {}
 
     if args.n_sites is None or args.r is None:
         raise UsageError("verify-ghs needs --model or both --n-sites and --r")
+    # The parser leaves the flags --model forbids at None: default them here.
+    mode = args.mode or "exact"
+    trials = 100 if args.trials is None else args.trials
+    seed = 0 if args.seed is None else args.seed
     checks = [
         _check(f"trial-{k:04d}", ok, witness)
-        for k, ok, witness in _trials(args.n_sites, args.r, args.mode, args.trials, args.seed)
+        for k, ok, witness in _trials(args.n_sites, args.r, mode, trials, seed)
     ]
     config = {
         "model": None,
         "n_sites": args.n_sites,
         "r": args.r,
-        "mode": args.mode,
-        "trials": args.trials,
-        "seed": args.seed,
+        "mode": mode,
+        "trials": trials,
+        "seed": seed,
     }
     return config, checks, {}
 
@@ -144,17 +160,17 @@ def _cmd_derivative(args) -> tuple:
     i, j, k = args.i, args.j, args.k
     checks = []
     results = []
+    seed = None
     if args.model:
-        instance = load_model(args.model)
-        _check_work(instance.n_sites, instance.n_states)
+        instance, mode = _load_model(args, ("n_sites", "r", "seed"))
     else:
         if args.n_sites is None or args.r is None:
             raise UsageError("derivative needs --model or both --n-sites and --r")
         _check_work(args.n_sites, args.r)
-        if args.mode == "exact":
-            instance = random_weights(args.n_sites, args.r, trial_rng(args.seed, 0))
-        else:
-            instance = random_model(args.n_sites, args.r, trial_rng(args.seed, 0))
+        mode = args.mode or "exact"
+        seed = 0 if args.seed is None else args.seed
+        draw = random_weights if mode == "exact" else random_model
+        instance = draw(args.n_sites, args.r, trial_rng(seed, 0))
 
     # The finite difference validates --h-step, so it runs before the exact
     # routes; its record still comes last.
@@ -226,8 +242,8 @@ def _cmd_derivative(args) -> tuple:
         "model": args.model,
         "n_sites": args.n_sites,
         "r": args.r,
-        "mode": args.mode,
-        "seed": args.seed,
+        "mode": mode,
+        "seed": seed,
         "site_triple": [i, j, k],
         "h_step": args.h_step,
     }
@@ -430,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file (JSON)")
     p.add_argument("--n-sites", type=int)
     p.add_argument("--r", type=int, help="number of spin states")
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=("exact", "float"), help="default: exact")
+    p.add_argument("--trials", type=int, help="default: 100")
+    p.add_argument("--seed", type=int, help="default: 0")
     common(p)
     p.set_defaults(func=_cmd_verify_ghs)
 
@@ -440,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file (JSON)")
     p.add_argument("--n-sites", type=int)
     p.add_argument("--r", type=int)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--mode", choices=("exact", "float"), help="default: exact")
+    p.add_argument("--seed", type=int, help="default: 0")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--k", type=int, required=True)

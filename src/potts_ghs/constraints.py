@@ -54,7 +54,7 @@ def ghs_combination(factors):
     """F() * (F() F(0=123) - sum F(0=ij) F(0=k)) + 2 F(0=1) F(0=2) F(0=3):
     the GHS_TERMS sum with F() factored out of the four terms that share it,
     from one value per GHS_FACTORS entry (in that order) in any ring
-    (Fraction, float, mpf, XPoly)."""
+    (Fraction, float, XPoly)."""
     free, f123, f12, f3, f13, f2, f23, f1 = factors
     return free * (free * f123 - f12 * f3 - f13 * f2 - f23 * f1) + 2 * (f1 * f2 * f3)
 

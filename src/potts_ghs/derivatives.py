@@ -17,12 +17,14 @@ oracle backs the analytic values numerically, on a physical model or on
 the exact weights themselves.  It takes a single ``weighted_sums`` pass at
 the unshifted weights and evaluates every stencil point in closed form, so
 it shares the enumeration with the analytic routes but not the combiner.
+It computes in the standard library's ``decimal`` at 42 digits; a coupling
+above about 2.3e18 overflows it and raises CapacityError (CLI exit 3).
 """
 from __future__ import annotations
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
-
-import mpmath as mp
 
 from .constraints import GHS_PINNED_SITES, _curvature_sum, ghs_combination
 from .expansion import CapacityError
@@ -92,9 +94,11 @@ def second_derivative_fd(
         m_i(dj, dk) = (Z_i + aj Z_ij + ak Z_ik + aj ak Z_ijk)
                       / (Z + aj Z_j + ak Z_k + aj ak Z_jk),
 
-    with ak = 0 when j = k.  Differences are formed in extended precision so
-    the quadratic truncation error of the stencil dominates rounding even at
-    small steps; the returned value is a float.
+    with ak = 0 when j = k.  Differences are formed in ``decimal`` at
+    FD_PRECISION_DPS + 2 = 42 digits, so the quadratic truncation error of
+    the stencil dominates rounding even at small steps; the returned value
+    is a float.  The exponent range admits any exact weight; e**J of a
+    coupling or field above about 2.3e18 overflows it (CapacityError).
     """
     _check_sites(model.n_sites, i, j, k)
     # Rounding adds about 10**-FD_PRECISION_DPS / h**2; above 1 the O(h**2)
@@ -102,32 +106,38 @@ def second_derivative_fd(
     lowest = 10 ** (-FD_PRECISION_DPS // 4)
     if not lowest <= h <= 1:
         raise ValueError(f"step h must lie in [{lowest:g}, 1], got {h!r}")
-    with mp.workdps(FD_PRECISION_DPS):
-        if isinstance(model, GhostWeightVector):
-            tw = [mp.mpf(t.numerator) / t.denominator for t in model.weights]
-        else:
-            tw = [
-                mp.exp(mp.mpf(model.fields[b - 1] if a == 0 else model.coupling(a, b)))
-                for a, b in pair_order(model.n_sites).pairs
-            ]
-        z, zj, zk, zjk, zi, zij, zik, zijk = weighted_sums(
-            tw,
-            model.n_sites,
-            model.n_states,
-            [(), {j}, {k}, {j, k}, {i}, {i, j}, {i, k}, {i, j, k}],
-            mp.mpf(1),
-        )
+    context = decimal.Context(
+        prec=FD_PRECISION_DPS + 2, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN
+    )
+    with decimal.localcontext(context):
+        try:
+            if isinstance(model, GhostWeightVector):
+                tw = [Decimal(t.numerator) / t.denominator for t in model.weights]
+            else:
+                tw = [
+                    Decimal(model.fields[b - 1] if a == 0 else model.coupling(a, b)).exp()
+                    for a, b in pair_order(model.n_sites).pairs
+                ]
+            z, zj, zk, zjk, zi, zij, zik, zijk = weighted_sums(
+                tw,
+                model.n_sites,
+                model.n_states,
+                [(), {j}, {k}, {j, k}, {i}, {i, j}, {i, k}, {i, j, k}],
+                Decimal(1),
+            )
+        except decimal.Overflow as exc:
+            raise CapacityError("e**J overflows the oracle's exponent range") from exc
 
         def magnetization(dj, dk):
-            aj, ak = mp.expm1(dj), mp.expm1(dk)
+            aj, ak = dj.exp() - 1, dk.exp() - 1
             top = zi + aj * zij + ak * zik + aj * ak * zijk
             return top / (z + aj * zj + ak * zk + aj * ak * zjk)
 
-        step = mp.mpf(h)
+        step, zero = Decimal(h), Decimal(0)
         if j == k:
-            plus = magnetization(step, 0)
-            mid = magnetization(0, 0)
-            minus = magnetization(-step, 0)
+            plus = magnetization(step, zero)
+            mid = magnetization(zero, zero)
+            minus = magnetization(-step, zero)
             value = (plus - 2 * mid + minus) / step**2
         else:
             pp = magnetization(step, step)

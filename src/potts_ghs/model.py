@@ -151,7 +151,6 @@ class GhostWeightVector:
         n_sites: int,
         n_states: int,
         values: Mapping[tuple[int, int], Fraction | int | str],
-        default: Fraction | int = 1,
     ) -> "GhostWeightVector":
         order = pair_order(n_sites)
         table = {}
@@ -160,7 +159,7 @@ class GhostWeightVector:
             if key not in order.index_of:
                 raise ValueError(f"pair ({i}, {j}) out of range for n_sites={n_sites}")
             table[key] = Fraction(val)
-        weights = tuple(table.get(pair, Fraction(default)) for pair in order.pairs)
+        weights = tuple(table.get(pair, Fraction(1)) for pair in order.pairs)
         return cls(n_sites=n_sites, n_states=n_states, weights=weights)
 
     @classmethod
@@ -192,7 +191,7 @@ def weighted_sums(
     Returns, for each requested set of sites, the sum of the configuration
     weight prod_p t_p**[sigma_i = sigma_j] over configurations where every
     site of the set is in state 1.  Works for any weight type that supports
-    multiplication and addition (Fraction, float, mpf); ``one`` is the
+    multiplication and addition (Fraction, float, Decimal); ``one`` is the
     multiplicative unit of that type.
 
     Sites take their states in order 1..N, and the weight is extended by

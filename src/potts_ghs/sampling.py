@@ -34,16 +34,14 @@ def random_weights(
     return GhostWeightVector(n_sites, n_states, weights)
 
 
-def random_model(
-    n_sites: int, n_states: int, rng: random.Random, scale: float = 1.5
-) -> ModelSpec:
-    """Physical random instance: couplings and fields uniform on [0, scale]."""
+def random_model(n_sites: int, n_states: int, rng: random.Random) -> ModelSpec:
+    """Physical random instance: couplings and fields uniform on [0, 1.5]."""
     couplings = {
-        (i, j): rng.uniform(0.0, scale)
+        (i, j): rng.uniform(0.0, 1.5)
         for i in range(1, n_sites + 1)
         for j in range(i + 1, n_sites + 1)
     }
-    fields = tuple(rng.uniform(0.0, scale) for _ in range(n_sites))
+    fields = tuple(rng.uniform(0.0, 1.5) for _ in range(n_sites))
     return ModelSpec(
         n_sites=n_sites, n_states=n_states, couplings=couplings, fields=fields
     )

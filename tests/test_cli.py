@@ -594,6 +594,16 @@ def test_overflowing_weight_is_a_capacity_error(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+def test_coupling_beyond_the_decimal_exponent_range_is_a_capacity_error(tmp_path):
+    # e**1e308 overflows even the decimal exponent range of the
+    # finite-difference oracle, which runs first.
+    model = physical_model(tmp_path, 1e308)
+    result = run_cli("derivative", "--i", "1", "--j", "2", "--k", "3", "--model", model)
+    assert result.returncode == 3
+    assert "capacity" in result.stderr and "oracle" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_derivative_rejects_nan_step():
     result = run_cli(
         "derivative", "--n-sites", "3", "--r", "3",
@@ -649,6 +659,95 @@ def test_derivative_takes_an_exact_weight_beyond_the_float_range(tmp_path):
     assert result.returncode == 0, result.stderr
     checks = load_report(out)["checks"]
     assert [c["status"] for c in checks] == ["pass", "pass"]
+
+
+# ---------------------------------------------------------------------------
+# --model runs: the file replaces the trial flags
+
+
+def run_main(tmp_path, argv):
+    """Run the CLI in-process; return its exit code and, when a report was
+    written, the report."""
+    from potts_ghs import cli
+
+    out = tmp_path / "report.json"
+    if out.exists():
+        out.unlink()
+    code = cli.main(argv + ["--output", str(out)])
+    return code, load_report(out) if out.exists() else None
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["derivative", "--n-sites", "7", "--r", "9", "--mode", "float", "--seed", "5"],
+         "--n-sites"),
+        (["derivative", "--seed", "5"], "--seed"),
+        (["derivative", "--mode", "float"], "--mode float"),
+        (["verify-ghs", "--n-sites", "7", "--r", "2", "--trials", "5"], "--n-sites"),
+        (["verify-ghs", "--r", "2"], "--r"),
+        (["verify-ghs", "--trials", "5"], "--trials"),
+        (["verify-ghs", "--mode", "float"], "--mode float"),
+        (["verify-ghs", "--mode", "exact", "@physical"], "--mode exact"),
+    ],
+    ids=[
+        "derivative-all-flags", "derivative-seed", "derivative-mode",
+        "verify-three-flags", "verify-r", "verify-trials", "verify-mode",
+        "verify-physical-exact-mode",
+    ],
+)
+def test_model_runs_refuse_the_flags_the_file_replaces(tmp_path, capsys, argv, flag):
+    if argv[-1] == "@physical":
+        model = physical_model(tmp_path, 0.5)
+        argv = argv[:-1]
+    else:
+        model = write_exact_model(tmp_path, UNIFORM_2_MODEL)
+    if argv[0] == "derivative":
+        argv = argv + ["--i", "1", "--j", "2", "--k", "3"]
+    code, report = run_main(tmp_path, argv + ["--model", model])
+    assert (code, report) == (2, None)
+    assert flag in capsys.readouterr().err
+
+
+def test_model_configs_report_the_pipeline_that_ran(tmp_path):
+    exact = write_exact_model(tmp_path, dict(UNIFORM_2_MODEL, n_states=2))
+    physical = physical_model(tmp_path, 0.5)
+    triple = ["--i", "1", "--j", "2", "--k", "3"]
+    # The benchmark's argv shapes, including its --mode exact on exact files.
+    code, report = run_main(tmp_path, ["verify-ghs", "--model", exact])
+    assert code == 0
+    assert report["config"] == {"model": exact, "mode": "exact", "trials": None, "seed": None}
+    code, report = run_main(tmp_path, ["derivative", "--model", exact, "--mode", "exact"] + triple)
+    assert code == 0
+    assert report["config"]["mode"] == "exact"
+    code, report = run_main(tmp_path, ["verify-ghs", "--model", physical, "--mode", "float"])
+    assert code == 0
+    assert report["config"]["mode"] == "float"
+    code, report = run_main(tmp_path, ["derivative", "--model", physical] + triple)
+    assert code == 0
+    assert report["config"] == {
+        "model": physical,
+        "n_sites": None,
+        "r": None,
+        "mode": "float",
+        "seed": None,
+        "site_triple": [1, 2, 3],
+        "h_step": 1e-4,
+    }
+
+
+def test_trial_configs_read_the_defaults(tmp_path):
+    argv = ["verify-ghs", "--n-sites", "3", "--r", "2"]
+    code, report = run_main(tmp_path, argv)
+    assert code == 0
+    assert len(report["checks"]) == 100
+    assert report["config"] == {
+        "model": None, "n_sites": 3, "r": 2, "mode": "exact", "trials": 100, "seed": 0,
+    }
+    argv = ["derivative", "--n-sites", "3", "--r", "3", "--i", "1", "--j", "2", "--k", "3"]
+    code, report = run_main(tmp_path, argv)
+    assert code == 0
+    assert (report["config"]["mode"], report["config"]["seed"]) == ("exact", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,11 @@ from potts_ghs import (
     GhostWeightVector,
     LaurentPoly,
     XPoly,
-    constrained_sum,
     matrix_coefficient,
     pair_order,
     random_weights,
 )
-from potts_ghs.constraints import GHS_FACTORS, ghs_combination
+from potts_ghs.constraints import GHS_FACTORS, constrained_sum, ghs_combination
 
 
 def brute_constrained_sum(weights, equalities, active_pairs):

@@ -1,5 +1,7 @@
 """Pair ordering, exact weights, and the enumeration of pinned sums."""
+import decimal
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,11 +13,11 @@ from brute_force import pinned_sum as oracle_pinned_sum
 from potts_ghs import (
     GhostWeightVector,
     ModelSpec,
-    constrained_sum,
     instance_digest,
     pair_order,
     relabel_sites,
 )
+from potts_ghs.constraints import constrained_sum
 from potts_ghs.model import weighted_sums
 from potts_ghs.sampling import random_weights, trial_rng
 
@@ -41,7 +43,8 @@ def derivative_sets(i, j, k):
 
 def assert_kernel_matches_oracle(n, r, weights, sets):
     """weighted_sums against the stdlib enumerator: exact in Fraction,
-    within 1e-12 relative in float, and to 36 digits in 40-digit mpf."""
+    within 1e-12 relative in float, and to 36 digits in 40-digit mpf and in
+    42-digit Decimal, the finite-difference oracle's ring."""
     weights = [Fraction(t) for t in weights]
     expected = [oracle_pinned_sum(n, r, weights, s) for s in sets]
     assert weighted_sums(weights, n, r, sets, Fraction(1)) == expected
@@ -52,6 +55,13 @@ def assert_kernel_matches_oracle(n, r, weights, sets):
         got = weighted_sums(tw, n, r, sets, mp.mpf(1))
         for value, z in zip(got, expected):
             assert abs(value - mp.mpf(z.numerator) / z.denominator) <= value * 1e-36
+    with decimal.localcontext() as ctx:
+        ctx.prec = 42
+        tw = [Decimal(t.numerator) / t.denominator for t in weights]
+        got = weighted_sums(tw, n, r, sets, Decimal(1))
+        for value, z in zip(got, expected):
+            exact = Decimal(z.numerator) / z.denominator
+            assert abs(value - exact) <= value * Decimal("1e-36")
 
 
 def test_pair_order_n3():
@@ -103,7 +113,7 @@ def test_weight_vector_validation():
 
 
 def test_weight_vector_accessors():
-    w = GhostWeightVector.from_pair_map(3, 2, {(1, 2): Fraction(5, 2)}, default=1)
+    w = GhostWeightVector.from_pair_map(3, 2, {(1, 2): Fraction(5, 2)})
     assert w.weight_of(1, 2) == Fraction(5, 2)
     assert w.weight_of(2, 1) == Fraction(5, 2)
     assert w.weight_of(0, 1) == 1

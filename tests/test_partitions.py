@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from potts_ghs import block_count, merge_constraints
+from potts_ghs.partitions import block_count, merge_constraints
 
 
 def relabel_merge(n_sites, eqs):
