@@ -1,18 +1,23 @@
 """The 64 aggregated coefficients of the reduced core and their signs.
 
-alpha(x, y, z) aggregates the signed coefficients of every constraint matrix
-supported on the three core pairs whose rows have weights x, y, z: it is the
-coefficient of X_12**x X_13**y X_23**z in the curvature sum when every other
-pair weight is 1 (at n_sites = 3: zero field).  Evaluated at any r >= 3 the
-64 entries are all nonnegative, and at r = 2 all nonpositive (in fact
-zero).  So they decide the curvature sign on the zero-field slice at
-n_sites = 3 only; at positive fields and r >= 3 the curvature sum can be
-negative (all six weights 2 at r = 3 give -1620864).
+alpha(x, y, z) is the coefficient of X_12**x X_13**y X_23**z in the
+curvature sum when every other pair weight is 1 (at n_sites = 3: zero
+field).  The table is read off the reduced core
+``separation.reduced_expansion``, the expansion's factor product over the
+three core pairs, so the table, the core of the separated form and the
+expansion share one producer.  Evaluated at any r >= 3 the 64 entries are
+all nonnegative, and at r = 2 all nonpositive (in fact zero).  So they
+decide the curvature sign on the zero-field slice at n_sites = 3 only; at
+positive fields and r >= 3 the curvature sum can be negative (all six
+weights 2 at r = 3 give -1620864).
 
 The module also carries the reference closed forms for the 18 entry classes
 as they appear in the source table this engine verifies, and an exact
-comparison of the freshly computed entries against them.  Mismatches are
-reported as possible errata in the reference, never silently adopted.
+comparison of the computed entries against them.  Mismatches are reported
+as possible errata in the reference, never silently adopted.  The
+comparison also rebuilds every entry by the source's own construction, the
+signed coefficients of the constraint matrices supported on the core pairs
+summed by row weight, as a cross-check on the core.
 """
 from __future__ import annotations
 
@@ -24,31 +29,18 @@ from .constraints import ConstraintMatrix, matrix_coefficient
 from .laurent import LaurentPoly
 from .model import pair_order
 from .modelfile import rational_str
-
-_ROWS_BY_WEIGHT: dict[int, tuple[tuple[int, int, int], ...]] = {
-    w: tuple(row for row in product((0, 1), repeat=3) if sum(row) == w)
-    for w in range(4)
-}
+from .separation import reduced_expansion
 
 
 @lru_cache(maxsize=None)
 def alpha(x: int, y: int, z: int, n_sites: int = 3) -> LaurentPoly:
-    """Aggregated signed coefficient for core row weights (x, y, z)."""
+    """Aggregated signed coefficient for core row weights (x, y, z): the
+    coefficient of X_12**x X_13**y X_23**z in the reduced core."""
     for w in (x, y, z):
         if w not in (0, 1, 2, 3):
             raise ValueError(f"row weight {w} must be in 0..3")
-    if n_sites < 3:
-        raise ValueError("the core pairs need n_sites >= 3")
     p1, p2, p3 = pair_order(n_sites).core_indices
-    total = LaurentPoly.zero()
-    for row1 in _ROWS_BY_WEIGHT[x]:
-        for row2 in _ROWS_BY_WEIGHT[y]:
-            for row3 in _ROWS_BY_WEIGHT[z]:
-                matrix = ConstraintMatrix(
-                    n_sites, ((p1, row1), (p2, row2), (p3, row3))
-                )
-                total = total + matrix_coefficient(matrix)
-    return total
+    return reduced_expansion(n_sites).coefficient({p1: x, p2: y, p3: z})
 
 
 @dataclass(frozen=True)
@@ -269,16 +261,15 @@ def compare_reference(table: AlphaTable) -> dict:
     Every class record carries the computed polynomial (common to the class
     when uniform), the reference form, and a match/mismatch verdict; a
     mismatch flags a possible erratum in the reference table.  The report
-    also cross-checks the entries against the reduced core polynomial
-    (``oracle_agreement``).  The two come by different routes: the table
-    sums ``matrix_coefficient`` over the constraint matrices of each row
-    profile, while the core is the expansion's factor product of
-    r**(block count) over the three core pairs.  The check against the
-    definition itself is the brute-force enumerator in
+    also cross-checks the entries (``oracle_agreement``) against the
+    source's construction: each of the 512 constraint matrices supported on
+    the three core pairs contributes its ``matrix_coefficient``, the
+    GHS_TERMS sum of r**(block count), to the entry of its row weights.
+    The table comes from the core's subset product under the staged
+    ``ghs_combination``, so the two routes share ``block_count`` only.  The
+    check against the definition itself is the brute-force enumerator in
     ``tests/brute_force.py``.
     """
-    from .separation import reduced_expansion
-
     n = table.n_sites
     records = []
     matches = 0
@@ -304,14 +295,13 @@ def compare_reference(table: AlphaTable) -> dict:
             record["note"] = "possible erratum in the reference closed form"
         records.append(record)
 
-    core = reduced_expansion(n)
-    p1, p2, p3 = pair_order(n).core_indices
-    oracle_agreement = all(
-        table.entries[(x, y, z)] == core.coefficient({p1: x, p2: y, p3: z})
-        for x in range(4)
-        for y in range(4)
-        for z in range(4)
-    )
+    core = pair_order(n).core_indices
+    summed: dict[tuple[int, int, int], LaurentPoly] = {}
+    for rows in product(product((0, 1), repeat=3), repeat=3):
+        key = tuple(sum(row) for row in rows)
+        coeff = matrix_coefficient(ConstraintMatrix(n, tuple(zip(core, rows))))
+        summed[key] = summed.get(key, LaurentPoly.zero()) + coeff
+    oracle_agreement = all(table.entries[t] == summed[t] for t in summed)
     coverage_ok = sorted(covered) == sorted(
         (x, y, z) for x in range(4) for y in range(4) for z in range(4)
     )

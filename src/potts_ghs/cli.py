@@ -103,6 +103,22 @@ def _load_model(args, replaced: tuple[str, ...]) -> tuple:
     return instance, mode
 
 
+def _draw(mode: str):
+    """The seeded instance generator of a mode."""
+    return random_weights if mode == "exact" else random_model
+
+
+def _instance_source(args, replaced: tuple[str, ...]) -> tuple:
+    """(instance, mode, seed) of a run: the --model file's instance with
+    seed None, or None for a seeded --n-sites/--r cell, whose mode and seed
+    are defaulted here because --model forbids them."""
+    if args.model:
+        return (*_load_model(args, replaced), None)
+    if args.n_sites is None or args.r is None:
+        raise UsageError(f"{args.command} needs --model or both --n-sites and --r")
+    return None, args.mode or "exact", 0 if args.seed is None else args.seed
+
+
 def _trials(n: int, r: int, mode: str, trials: int, seed: int):
     """Validate one (n, r) cell, then return its seeded trials lazily as
     (k, ok, witness); a failing exact witness carries its model file."""
@@ -111,7 +127,7 @@ def _trials(n: int, r: int, mode: str, trials: int, seed: int):
     if n < 3:
         raise UsageError("the verified site triple (1,2,3) needs n_sites >= 3")
     _check_work(n, r)
-    draw = random_weights if mode == "exact" else random_model
+    draw = _draw(mode)
 
     def run():
         for k in range(trials):
@@ -128,19 +144,14 @@ def _trials(n: int, r: int, mode: str, trials: int, seed: int):
 
 
 def _cmd_verify_ghs(args) -> tuple:
-    if args.model:
-        instance, mode = _load_model(args, ("n_sites", "r", "trials", "seed"))
+    instance, mode, seed = _instance_source(args, ("n_sites", "r", "trials", "seed"))
+    if instance is not None:
         ok, witness = _sign_check(instance)
         name = "curvature-sign" if mode == "exact" else "curvature-sign-float"
         config = {"model": args.model, "mode": mode, "trials": None, "seed": None}
         return config, [_check(name, ok, witness)], {}
 
-    if args.n_sites is None or args.r is None:
-        raise UsageError("verify-ghs needs --model or both --n-sites and --r")
-    # The parser leaves the flags --model forbids at None: default them here.
-    mode = args.mode or "exact"
     trials = 100 if args.trials is None else args.trials
-    seed = 0 if args.seed is None else args.seed
     checks = [
         _check(f"trial-{k:04d}", ok, witness)
         for k, ok, witness in _trials(args.n_sites, args.r, mode, trials, seed)
@@ -158,44 +169,31 @@ def _cmd_verify_ghs(args) -> tuple:
 
 def _cmd_derivative(args) -> tuple:
     i, j, k = args.i, args.j, args.k
-    checks = []
-    results = []
-    seed = None
-    if args.model:
-        instance, mode = _load_model(args, ("n_sites", "r", "seed"))
-    else:
-        if args.n_sites is None or args.r is None:
-            raise UsageError("derivative needs --model or both --n-sites and --r")
+    instance, mode, seed = _instance_source(args, ("n_sites", "r", "seed"))
+    if instance is None:
         _check_work(args.n_sites, args.r)
-        mode = args.mode or "exact"
-        seed = 0 if args.seed is None else args.seed
-        draw = random_weights if mode == "exact" else random_model
-        instance = draw(args.n_sites, args.r, trial_rng(seed, 0))
+        instance = _draw(mode)(args.n_sites, args.r, trial_rng(seed, 0))
+
+    def result(method: str, value, digest=None, **extra) -> dict:
+        return {
+            "method": method,
+            "value": value,
+            "site_triple": [i, j, k],
+            "instance": digest,
+            **extra,
+        }
 
     # The finite difference validates --h-step, so it runs before the exact
     # routes; its record still comes last.
     fd = second_derivative_fd(instance, i, j, k, h=args.h_step)
+    checks = []
     if isinstance(instance, GhostWeightVector):
         exact = second_derivative_analytic(instance, i, j, k)
         digest = instance_digest(instance)
-        results.append(
-            {
-                "method": "analytic",
-                "value": rational_str(exact),
-                "site_triple": [i, j, k],
-                "instance": digest,
-            }
-        )
+        results = [result("analytic", rational_str(exact), digest)]
         if len({i, j, k}) == 3:
             via = second_derivative_via_sum(instance, i, j, k)
-            results.append(
-                {
-                    "method": "via-curvature-sum",
-                    "value": rational_str(via),
-                    "site_triple": [i, j, k],
-                    "instance": digest,
-                }
-            )
+            results.append(result("via-curvature-sum", rational_str(via), digest))
             checks.append(
                 _check(
                     "analytic-equals-curvature-route",
@@ -206,23 +204,8 @@ def _cmd_derivative(args) -> tuple:
         reference = float(exact)
     else:
         reference = second_derivative_float(instance, i, j, k)
-        results.append(
-            {
-                "method": "analytic",
-                "value": reference,
-                "site_triple": [i, j, k],
-                "instance": None,
-            }
-        )
-    results.append(
-        {
-            "method": "finite-difference",
-            "value": fd,
-            "site_triple": [i, j, k],
-            "instance": None,
-            "h": args.h_step,
-        }
-    )
+        results = [result("analytic", reference)]
+    results.append(result("finite-difference", fd, h=args.h_step))
     err = abs(fd - reference)
     tol = max(1e-6 * abs(reference), 1e-10)
     checks.append(
@@ -306,14 +289,18 @@ def _cmd_expand(args) -> tuple:
 
 
 def _cmd_separation_check(args) -> tuple:
-    if args.r is not None:
-        _check_work(args.n_sites, args.r)
+    trials, seed = args.trials, args.seed
+    if args.mode == "exhaustive":
+        for name in ("r", "trials", "seed"):
+            if getattr(args, name) is not None:
+                raise UsageError(f"--{name} is not used by --mode exhaustive")
+    else:
+        if args.r is not None:
+            _check_work(args.n_sites, args.r)
+        trials = 50 if trials is None else trials
+        seed = 0 if seed is None else seed
     report = separation_check(
-        args.n_sites,
-        args.mode,
-        trials=args.trials,
-        seed=args.seed,
-        n_states=args.r,
+        args.n_sites, args.mode, trials=trials, seed=seed, n_states=args.r
     )
     passed = report.pop("passed")
     checks = [_check(f"separation-{args.mode}", passed, report)]
@@ -321,8 +308,8 @@ def _cmd_separation_check(args) -> tuple:
         "n_sites": args.n_sites,
         "mode": args.mode,
         "r": args.r,
-        "trials": args.trials,
-        "seed": args.seed,
+        "trials": trials,
+        "seed": seed,
     }
     return config, checks, {}
 
@@ -476,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-sites", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "random-eval"), required=True)
     p.add_argument("--r", type=int, help="state count for random-eval mode")
-    p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, help="random-eval only; default: 50")
+    p.add_argument("--seed", type=int, help="random-eval only; default: 0")
     common(p)
     p.set_defaults(func=_cmd_separation_check)
 

@@ -22,7 +22,9 @@ Their independent check is the stdlib enumerator ``tests/brute_force.py``.
 A constraint matrix A adds, for each pair p with column entry a(p, c) = 1,
 the equality sigma_i = sigma_j of that pair to factor c; its coefficient is
 the signed sum of r**(number of blocks) over the five terms, an integer
-Laurent polynomial in r.
+Laurent polynomial in r.  Summed by row weight over the matrices on the
+three core pairs they give the alpha table, which ``alpha.compare_reference``
+uses as the cross-check on the reduced core.
 """
 from __future__ import annotations
 
@@ -63,6 +65,8 @@ def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
     """The scaled curvature sum r**3 * sum sign * Z_S1 Z_S2 Z_S3 of the
     triple (1, 2, 3), from one ``weighted_sums`` pass in the ring of ``one``
     (Fraction for ``ghs_sum``, XPoly for the partial expansion)."""
+    if n_sites < 3:
+        raise ValueError("the curvature sum needs n_sites >= 3")
     sums = weighted_sums(weight_seq, n_sites, n_states, GHS_PINNED_SITES, one)
     return n_states**3 * ghs_combination(sums)
 

@@ -155,8 +155,6 @@ def ghs_sum(weights: GhostWeightVector) -> Fraction:
     sums F(0=S) = r * Z_S with every pair weight active; equals r**3 Z**3
     times the analytic second derivative of m_1 in the fields at sites 2, 3.
     """
-    if weights.n_sites < 3:
-        raise ValueError("the curvature sum needs n_sites >= 3")
     return _curvature_sum(weights.weights, weights.n_sites, weights.n_states, Fraction(1))
 
 

@@ -12,7 +12,8 @@ univariate factor in its own deviation X_p:
 times the reduced core polynomial in the three core deviations.  The core
 is the expansion restricted to the three core pairs (every other weight 1),
 built by the same factor product as ``expand_full``; its coefficients are
-the 64 table entries, which ``alpha`` aggregates independently over the
+the 64 table entries that ``alpha`` reads off, and that
+``alpha.compare_reference`` cross-checks against the sum over the
 constraint matrices.  The factorization holds only on a slice.  At
 n_sites = 3 the assembled form agrees with the full expansion on the 54
 monomials free of the field variables X_01, X_02, X_03 (the zero-field

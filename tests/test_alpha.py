@@ -8,12 +8,14 @@ comparison report flags them as possible errata rather than adopting them.
 """
 
 import importlib
+import sys
 
 import pytest
 
 from potts_ghs import (
     LaurentPoly,
     REFERENCE_FORMS,
+    XPoly,
     alpha,
     alpha_table,
     compare_reference,
@@ -202,9 +204,10 @@ def cold_core_caches():
 
 def test_oracle_agreement_is_an_independent_route(monkeypatch, cold_core_caches):
     # Add r^3 to the coefficient of the n = 3 matrix whose core rows are all
-    # (1, 1, 0), wherever the package binds matrix_coefficient.  The table
-    # takes the wrong value; the core, built without constraint matrices,
-    # does not, so the cross-check must report the disagreement.
+    # (1, 1, 0), wherever the package binds matrix_coefficient.  The
+    # cross-check's matrix sum takes the wrong value; the table, read off
+    # the core without constraint matrices, does not, so the cross-check
+    # must report the disagreement.
     original = constraints.matrix_coefficient
     target = tuple((p, (1, 1, 0)) for p in pair_order(3).core_indices)
 
@@ -219,6 +222,62 @@ def test_oracle_agreement_is_an_independent_route(monkeypatch, cold_core_caches)
             monkeypatch.setattr(module, "matrix_coefficient", tampered)
     assert compare_reference(alpha_table(3))["oracle_agreement"] is False
     assert compare_reference(alpha_table(4))["oracle_agreement"] is True
+
+
+def count_matrix_coefficient_calls(monkeypatch):
+    """Wrap matrix_coefficient wherever a package module binds it; the
+    returned list gains one entry per call."""
+    calls = []
+    original = constraints.matrix_coefficient
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "potts_ghs" and hasattr(module, "matrix_coefficient"):
+            monkeypatch.setattr(module, "matrix_coefficient", counted)
+    return calls
+
+
+def test_the_table_is_read_off_the_core(monkeypatch, cold_core_caches):
+    # The table forms no constraint matrix; the cross-check forms all 512
+    # supported on the core pairs, once per size.
+    calls = count_matrix_coefficient_calls(monkeypatch)
+    for n in (3, 4):
+        table = alpha_table(n)
+        assert calls == []
+        assert compare_reference(table)["oracle_agreement"] is True
+        assert len(calls) == 512
+        assert {matrix.n_sites for matrix in calls} == {n}
+        calls.clear()
+
+
+def test_a_planted_core_coefficient_breaks_oracle_agreement(monkeypatch, cold_core_caches):
+    # Add r^3 to the X_12 X_13 coefficient of the n = 3 core.  The table,
+    # read off the core, takes the wrong value; the matrix sum does not.
+    original = separation._factor_product
+
+    def tampered(n_sites, window):
+        poly = original(n_sites, window)
+        if n_sites == 3:
+            p1, p2, _ = pair_order(3).core_indices
+            poly = poly + XPoly.term(LaurentPoly({3: 1}), {p1: 1, p2: 1})
+        return poly
+
+    monkeypatch.setattr(separation, "_factor_product", tampered)
+    assert alpha(1, 1, 0) == true_entry(1, 1, 0) + LaurentPoly({3: 1})
+    assert compare_reference(alpha_table(3))["oracle_agreement"] is False
+    assert compare_reference(alpha_table(4))["oracle_agreement"] is True
+
+
+@pytest.mark.parametrize("n_sites", [3, 4, 5, 6])
+def test_oracle_agreement_at_every_size(n_sites):
+    table = alpha_table(n_sites)
+    assert compare_reference(table)["oracle_agreement"] is True
+    # The extra sites are free singletons: one more block per factor.
+    base = alpha_table(3).entries
+    assert table.entries == {t: p.shift(3 * (n_sites - 3)) for t, p in base.items()}
 
 
 def test_comparison_record_shapes():

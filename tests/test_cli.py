@@ -288,6 +288,21 @@ def test_expand_window_needs_a_model():
     assert "--window" in result.stderr
 
 
+@pytest.mark.parametrize("n_sites", [1, 2])
+def test_expand_on_fewer_than_three_sites_names_the_curvature_sum(tmp_path, n_sites):
+    doc = {
+        "n_sites": n_sites,
+        "n_states": 3,
+        "mode": "exact-weights",
+        "couplings": [[1, 2, 2]] if n_sites == 2 else [],
+        "fields": [2] * n_sites,
+    }
+    model = write_exact_model(tmp_path, doc, "small.json")
+    result = run_cli("expand", "--n-sites", str(n_sites), "--model", model)
+    assert result.returncode == 2
+    assert "the curvature sum needs n_sites >= 3" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # separation-check
 
@@ -342,6 +357,40 @@ def test_separation_random_eval(tmp_path):
 def test_separation_random_eval_needs_r():
     result = run_cli("separation-check", "--n-sites", "3", "--mode", "random-eval")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("flag", ["--r", "--trials", "--seed"])
+def test_separation_exhaustive_refuses_the_random_eval_flags(tmp_path, capsys, flag):
+    argv = ["separation-check", "--n-sites", "3", "--mode", "exhaustive", flag, "1"]
+    assert run_main(tmp_path, argv) == (2, None)
+    assert flag in capsys.readouterr().err
+
+
+def test_separation_exhaustive_refuses_r_before_judging_capacity(tmp_path, capsys):
+    argv = ["separation-check", "--n-sites", "5", "--mode", "exhaustive", "--r", "1000"]
+    assert run_main(tmp_path, argv) == (2, None)
+    err = capsys.readouterr().err
+    assert "--r" in err
+    assert "capacity" not in err
+
+
+def test_separation_configs_echo_only_the_flags_a_mode_uses(tmp_path):
+    code, report = run_main(
+        tmp_path, ["separation-check", "--n-sites", "3", "--mode", "exhaustive"]
+    )
+    assert code == 1
+    assert report["config"] == {
+        "n_sites": 3, "mode": "exhaustive", "r": None, "trials": None, "seed": None,
+    }
+    argv = ["separation-check", "--n-sites", "3", "--mode", "random-eval", "--r", "2"]
+    code, report = run_main(tmp_path, argv)
+    assert report["config"] == {
+        "n_sites": 3, "mode": "random-eval", "r": 2, "trials": 50, "seed": 0,
+    }
+    assert report["checks"][0]["witness"]["trials"] == 50
+    code, report = run_main(tmp_path, argv + ["--trials", "2", "--seed", "9"])
+    assert (report["config"]["trials"], report["config"]["seed"]) == (2, 9)
+    assert report["checks"][0]["witness"]["seed"] == 9
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +783,16 @@ def test_model_configs_report_the_pipeline_that_ran(tmp_path):
         "site_triple": [1, 2, 3],
         "h_step": 1e-4,
     }
+
+
+@pytest.mark.parametrize("command", ["verify-ghs", "derivative"])
+@pytest.mark.parametrize("size", [["--n-sites", "3"], ["--r", "3"], []])
+def test_trial_runs_need_a_model_or_both_size_flags(tmp_path, capsys, command, size):
+    argv = [command] + size
+    if command == "derivative":
+        argv += ["--i", "1", "--j", "2", "--k", "3"]
+    assert run_main(tmp_path, argv) == (2, None)
+    assert f"{command} needs --model or both --n-sites and --r" in capsys.readouterr().err
 
 
 def test_trial_configs_read_the_defaults(tmp_path):
