@@ -16,7 +16,9 @@ ghost*, subject to the listed equalities.  By colour symmetry
 F(0=S) = r * Z_S, with Z_S the pinned sum of ``model.weighted_sums``;
 ``ghs_combination`` forms the sum in any ring with F() factored out of four
 terms, and ``_curvature_sum`` is the pass and combination that ``ghs_sum``
-runs over Fraction and ``expand_partial`` over XPoly.  ``constrained_sum``,
+runs over Fraction and ``expand_partial`` over XPoly.  Its body,
+``_curvature_sum_and_z``, also returns Z, the pass's first sum, so that
+``second_derivative_via_sum`` needs no second pass.  ``constrained_sum``,
 a quotient of ``weighted_sums``, is kept only for the benchmark's tracer.
 Their independent check is the stdlib enumerator ``tests/brute_force.py``.
 A constraint matrix A adds, for each pair p with column entry a(p, c) = 1,
@@ -61,14 +63,20 @@ def ghs_combination(factors):
     return free * (free * f123 - f12 * f3 - f13 * f2 - f23 * f1) + 2 * (f1 * f2 * f3)
 
 
-def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
+def _curvature_sum_and_z(weight_seq, n_sites: int, n_states: int, one):
     """The scaled curvature sum r**3 * sum sign * Z_S1 Z_S2 Z_S3 of the
-    triple (1, 2, 3), from one ``weighted_sums`` pass in the ring of ``one``
-    (Fraction for ``ghs_sum``, XPoly for the partial expansion)."""
+    triple (1, 2, 3) and the partition sum Z, from one ``weighted_sums``
+    pass in the ring of ``one``: Z = Z_() is the pass's first sum."""
     if n_sites < 3:
         raise ValueError("the curvature sum needs n_sites >= 3")
     sums = weighted_sums(weight_seq, n_sites, n_states, GHS_PINNED_SITES, one)
-    return n_states**3 * ghs_combination(sums)
+    return n_states**3 * ghs_combination(sums), sums[0]
+
+
+def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
+    """The scaled curvature sum alone (Fraction for ``ghs_sum``, XPoly for
+    the partial expansion)."""
+    return _curvature_sum_and_z(weight_seq, n_sites, n_states, one)[0]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ r**3 Z**3, as the signed combination of ghost-summed constrained partition
 sums F(0=S) = r * Z_S.  Both take their eight pinned sums Z_S from one
 ``weighted_sums`` pass and combine them with the staged
 ``constraints.ghs_combination``; their independent check is the stdlib
-enumerator ``tests/brute_force.py``.  A high-precision finite-difference
+enumerator ``tests/brute_force.py``.  ``second_derivative_via_sum`` moves
+any distinct triple onto (1, 2, 3) and divides that sum by r**3 Z**3, also
+in one pass: Z is the ``()`` sum of it.  A high-precision finite-difference
 oracle backs the analytic values numerically, on a physical model or on
 the exact weights themselves.  It takes a single ``weighted_sums`` pass at
 the unshifted weights and evaluates every stencil point in closed form, so
@@ -26,7 +28,12 @@ import decimal
 from decimal import Decimal
 from fractions import Fraction
 
-from .constraints import GHS_PINNED_SITES, _curvature_sum, ghs_combination
+from .constraints import (
+    GHS_PINNED_SITES,
+    _curvature_sum,
+    _curvature_sum_and_z,
+    ghs_combination,
+)
 from .expansion import CapacityError
 from .model import (
     GhostWeightVector,
@@ -164,7 +171,9 @@ def second_derivative_via_sum(
     """Second derivative recovered from the curvature sum by relabeling.
 
     Only defined for distinct sites: the triple (i, j, k) is moved onto
-    (1, 2, 3) and the scaled sum is divided back by r**3 Z**3.
+    (1, 2, 3) and the scaled sum is divided back by r**3 Z**3.  One pass:
+    Z is the ``()`` sum of the pass that ``ghs_sum`` makes on the moved
+    instance.
     """
     _check_sites(weights.n_sites, i, j, k)
     if len({i, j, k}) != 3:
@@ -175,5 +184,5 @@ def second_derivative_via_sum(
         perm[site] = slot
     moved = relabel_sites(weights, perm)
     r = weights.n_states
-    z = weighted_sums(moved.weights, moved.n_sites, r, [()], Fraction(1))[0]
-    return ghs_sum(moved) / (Fraction(r) ** 3 * z**3)
+    scaled, z = _curvature_sum_and_z(moved.weights, moved.n_sites, r, Fraction(1))
+    return scaled / (Fraction(r) ** 3 * z**3)

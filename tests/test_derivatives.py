@@ -29,8 +29,9 @@ from potts_ghs import (
     second_derivative_via_sum,
     trial_rng,
 )
-from potts_ghs import cli, derivatives
+from potts_ghs import cli, constraints, derivatives, model
 from potts_ghs.model import weighted_sums
+from potts_ghs.modelfile import dump_weights
 
 
 def model_from_weights(weights: GhostWeightVector) -> ModelSpec:
@@ -101,6 +102,63 @@ def test_via_sum_relabels_arbitrary_triples():
         assert second_derivative_via_sum(w, *triple) == second_derivative_analytic(
             w, *triple
         )
+
+
+@pytest.mark.parametrize("triple", [(4, 1, 3), (3, 2, 1), (2, 3, 4)])
+def test_via_sum_matches_the_brute_force_truncated_triple(triple):
+    # The five-term combination of brute-force pinned sums shares neither
+    # weighted_sums nor ghs_combination with the curvature-sum route.
+    i, j, k = triple
+    n, r = 4, 3
+    w = random_weights(n, r, trial_rng("via-oracle", 0))
+
+    def z(*sites):
+        return pinned_sum(n, r, w.weights, sites)
+
+    expected = (
+        z() * z() * z(i, j, k)
+        - z() * z(i, j) * z(k)
+        - z() * z(i, k) * z(j)
+        - z() * z(j, k) * z(i)
+        + 2 * z(i) * z(j) * z(k)
+    ) / z() ** 3
+    assert second_derivative_via_sum(w, *triple) == expected
+
+
+@pytest.fixture
+def count_passes(monkeypatch):
+    """Count weighted_sums calls wherever a potts_ghs module binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return weighted_sums(*args, **kwargs)
+
+    for module in (model, constraints, derivatives):
+        monkeypatch.setattr(module, "weighted_sums", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "route",
+    [second_derivative_analytic, second_derivative_via_sum, second_derivative_fd],
+)
+def test_each_derivative_route_makes_one_pass(count_passes, route):
+    w = random_weights(4, 3, trial_rng("passes", 0))
+    route(w, 1, 2, 3)
+    route(w, 4, 1, 3)
+    assert len(count_passes) == 2
+
+
+def test_an_exact_derivative_job_makes_three_passes(count_passes, tmp_path):
+    # finite difference, analytic and curvature-sum route: one pass each.
+    w = random_weights(4, 3, trial_rng("passes", 1))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dump_weights(w)))
+    argv = ["derivative", "--model", str(path), "--mode", "exact"]
+    argv += ["--i", "1", "--j", "2", "--k", "3", "--output", str(tmp_path / "out.json")]
+    assert cli.main(argv) == 0
+    assert len(count_passes) == 3
 
 
 def test_via_sum_needs_distinct_sites():
