@@ -63,7 +63,10 @@ def _check(name: str, ok: bool, witness: dict) -> dict:
 
 
 def _check_work(n_sites: int, n_states: int) -> None:
-    """Refuse an instance whose enumeration exceeds MAX_CONFIGURATIONS."""
+    """Refuse a state count below 2 (usage) or an instance whose
+    enumeration exceeds MAX_CONFIGURATIONS (capacity)."""
+    if n_states < 2:
+        raise UsageError(f"r={n_states}: a Potts model needs at least 2 states")
     # The exponent is capped so that huge sizes stay cheap to judge; at
     # r >= 2 the cap alone already exceeds the bound.
     if n_states ** min(n_sites + 1, 64) > MAX_CONFIGURATIONS:

@@ -15,10 +15,12 @@ where F(...) sums the configuration weight over all spins *including the
 ghost*, subject to the listed equalities.  By colour symmetry
 F(0=S) = r * Z_S, with Z_S the pinned sum of ``model.weighted_sums``;
 ``ghs_combination`` forms the sum in any ring with F() factored out of four
-terms, and ``_curvature_sum`` is the pass and combination that ``ghs_sum``
-runs over Fraction and ``expand_partial`` over XPoly.  Its body,
-``_curvature_sum_and_z``, also returns Z, the pass's first sum, so that
-``second_derivative_via_sum`` needs no second pass.  ``constrained_sum``,
+terms.  ``_pinned_sums`` is the one map from a site triple to its eight
+sums Z_S, a single ``weighted_sums`` pass that every derivative route and
+the finite-difference oracle take.  ``_curvature_sum`` is that pass at
+(1, 2, 3) and the combination, which ``ghs_sum`` runs over Fraction and
+``expand_partial`` over XPoly; it also returns Z, the pass's first sum, so
+that ``second_derivative_via_sum`` needs no second pass.  ``constrained_sum``,
 a quotient of ``weighted_sums``, is kept only for the benchmark's tracer.
 Their independent check is the stdlib enumerator ``tests/brute_force.py``.
 A constraint matrix A adds, for each pair p with column entry a(p, c) = 1,
@@ -63,20 +65,29 @@ def ghs_combination(factors):
     return free * (free * f123 - f12 * f3 - f13 * f2 - f23 * f1) + 2 * (f1 * f2 * f3)
 
 
-def _curvature_sum_and_z(weight_seq, n_sites: int, n_states: int, one):
-    """The scaled curvature sum r**3 * sum sign * Z_S1 Z_S2 Z_S3 of the
-    triple (1, 2, 3) and the partition sum Z, from one ``weighted_sums``
-    pass in the ring of ``one``: Z = Z_() is the pass's first sum."""
-    if n_sites < 3:
-        raise ValueError("the curvature sum needs n_sites >= 3")
-    sums = weighted_sums(weight_seq, n_sites, n_states, GHS_PINNED_SITES, one)
-    return n_states**3 * ghs_combination(sums), sums[0]
+def _check_sites(n_sites: int, *sites: int) -> None:
+    for s in sites:
+        if not 1 <= s <= n_sites:
+            raise ValueError(f"site {s} out of range for n_sites={n_sites}")
+
+
+def _pinned_sums(weight_seq, n_sites: int, n_states: int, triple, one) -> list:
+    """The eight pinned sums Z_S of a site triple, in GHS_PINNED_SITES order
+    (Z = Z_() first) with site s of each set read as triple[s - 1], from
+    one ``weighted_sums`` pass in the ring of ``one``."""
+    _check_sites(n_sites, *triple)
+    pinned = [{triple[s - 1] for s in sites} for sites in GHS_PINNED_SITES]
+    return weighted_sums(weight_seq, n_sites, n_states, pinned, one)
 
 
 def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
-    """The scaled curvature sum alone (Fraction for ``ghs_sum``, XPoly for
-    the partial expansion)."""
-    return _curvature_sum_and_z(weight_seq, n_sites, n_states, one)[0]
+    """(r**3 * sum sign * Z_S1 Z_S2 Z_S3, Z) for the triple (1, 2, 3): the
+    scaled curvature sum and the partition sum, both from the one
+    ``_pinned_sums`` pass in the ring of ``one``."""
+    if n_sites < 3:
+        raise ValueError("the curvature sum needs n_sites >= 3")
+    sums = _pinned_sums(weight_seq, n_sites, n_states, (1, 2, 3), one)
+    return n_states**3 * ghs_combination(sums), sums[0]
 
 
 @dataclass(frozen=True)

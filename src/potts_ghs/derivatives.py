@@ -9,55 +9,48 @@ five-term truncated triple correlation
 where d_i indicates site i being in state 1 and repeated indices merge.
 ``ghs_sum`` computes the same quantity for the triple (1, 2, 3) scaled by
 r**3 Z**3, as the signed combination of ghost-summed constrained partition
-sums F(0=S) = r * Z_S.  Both take their eight pinned sums Z_S from one
-``weighted_sums`` pass and combine them with the staged
-``constraints.ghs_combination``; their independent check is the stdlib
-enumerator ``tests/brute_force.py``.  ``second_derivative_via_sum`` moves
-any distinct triple onto (1, 2, 3) and divides that sum by r**3 Z**3, also
-in one pass: Z is the ``()`` sum of it.  A high-precision finite-difference
-oracle backs the analytic values numerically, on a physical model or on
-the exact weights themselves.  It takes a single ``weighted_sums`` pass at
-the unshifted weights and evaluates every stencil point in closed form, so
-it shares the enumeration with the analytic routes but not the combiner.
-It computes in the standard library's ``decimal`` at 42 digits; a coupling
-above about 2.3e18 overflows it and raises CapacityError (CLI exit 3).
+sums F(0=S) = r * Z_S.  Both take the eight pinned sums Z_S of their
+triple from ``constraints._pinned_sums``, one ``weighted_sums`` pass, and
+combine them with the staged ``constraints.ghs_combination``; their
+independent check is the stdlib enumerator ``tests/brute_force.py``.
+``second_derivative_via_sum`` moves any distinct triple onto (1, 2, 3) and
+divides that sum by r**3 Z**3, also in one pass: Z is the ``()`` sum of it.
+A high-precision finite-difference oracle backs the analytic values
+numerically, on a physical model or on the exact weights themselves.  It
+takes the same ``_pinned_sums`` pass at the unshifted weights and evaluates
+every stencil point in closed form, so it shares the enumeration with the
+analytic routes but not the combiner.  It computes in the standard
+library's ``decimal`` at 42 digits; a coupling above about 2.3e18
+overflows it and raises CapacityError (CLI exit 3).  On a physical model
+the float route and the oracle read the pair energies J from one map,
+``_energies``, and each takes e**J in its own ring.
 """
 from __future__ import annotations
 
 import decimal
+import math
 from decimal import Decimal
 from fractions import Fraction
 
-from .constraints import (
-    GHS_PINNED_SITES,
-    _curvature_sum,
-    _curvature_sum_and_z,
-    ghs_combination,
-)
+from .constraints import _check_sites, _curvature_sum, _pinned_sums, ghs_combination
 from .expansion import CapacityError
-from .model import (
-    GhostWeightVector,
-    ModelSpec,
-    model_weights_float,
-    pair_order,
-    relabel_sites,
-    weighted_sums,
-)
+from .model import GhostWeightVector, ModelSpec, pair_order, relabel_sites
 
 FD_PRECISION_DPS = 40
 
 
-def _check_sites(n_sites: int, *sites: int) -> None:
-    for s in sites:
-        if not 1 <= s <= n_sites:
-            raise ValueError(f"site {s} out of range for n_sites={n_sites}")
+def _energies(model: ModelSpec) -> list[float]:
+    """The pair energies J aligned with pair_order: the field B_j on the
+    ghost pair (0, j), the coupling J_ab elsewhere."""
+    return [
+        model.fields[b - 1] if a == 0 else model.coupling(a, b)
+        for a, b in pair_order(model.n_sites).pairs
+    ]
 
 
 def _truncated_triple(weight_seq, n_sites: int, n_states: int, i, j, k, one):
     """The five-term truncated triple correlation in the ring of ``one``."""
-    _check_sites(n_sites, i, j, k)
-    pinned = [{(i, j, k)[s - 1] for s in sites} for sites in GHS_PINNED_SITES]
-    sums = weighted_sums(weight_seq, n_sites, n_states, pinned, one)
+    sums = _pinned_sums(weight_seq, n_sites, n_states, (i, j, k), one)
     z = sums[0]
     # z bounds every other sum, so a finite z keeps each ratio in [0, 1];
     # z * 0 == 0 fails only when a float z has overflowed to inf or NaN.
@@ -80,7 +73,7 @@ def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
     model (weights e**J); used for float-domain spot checks.  Raises
     CapacityError when a weight or the partition sum overflows."""
     try:
-        tw = model_weights_float(model)
+        tw = [math.exp(energy) for energy in _energies(model)]
     except OverflowError as exc:
         raise CapacityError("a pair weight e**J overflows double precision") from exc
     return _truncated_triple(tw, model.n_sites, model.n_states, i, j, k, 1.0)
@@ -107,7 +100,6 @@ def second_derivative_fd(
     is a float.  The exponent range admits any exact weight; e**J of a
     coupling or field above about 2.3e18 overflows it (CapacityError).
     """
-    _check_sites(model.n_sites, i, j, k)
     # Rounding adds about 10**-FD_PRECISION_DPS / h**2; above 1 the O(h**2)
     # truncation error is as large as the value.  NaN fails the comparison.
     lowest = 10 ** (-FD_PRECISION_DPS // 4)
@@ -121,16 +113,9 @@ def second_derivative_fd(
             if isinstance(model, GhostWeightVector):
                 tw = [Decimal(t.numerator) / t.denominator for t in model.weights]
             else:
-                tw = [
-                    Decimal(model.fields[b - 1] if a == 0 else model.coupling(a, b)).exp()
-                    for a, b in pair_order(model.n_sites).pairs
-                ]
-            z, zj, zk, zjk, zi, zij, zik, zijk = weighted_sums(
-                tw,
-                model.n_sites,
-                model.n_states,
-                [(), {j}, {k}, {j, k}, {i}, {i, j}, {i, k}, {i, j, k}],
-                Decimal(1),
+                tw = [Decimal(energy).exp() for energy in _energies(model)]
+            z, zijk, zij, zk, zik, zj, zjk, zi = _pinned_sums(
+                tw, model.n_sites, model.n_states, (i, j, k), Decimal(1)
             )
         except decimal.Overflow as exc:
             raise CapacityError("e**J overflows the oracle's exponent range") from exc
@@ -162,7 +147,8 @@ def ghs_sum(weights: GhostWeightVector) -> Fraction:
     sums F(0=S) = r * Z_S with every pair weight active; equals r**3 Z**3
     times the analytic second derivative of m_1 in the fields at sites 2, 3.
     """
-    return _curvature_sum(weights.weights, weights.n_sites, weights.n_states, Fraction(1))
+    r = weights.n_states
+    return _curvature_sum(weights.weights, weights.n_sites, r, Fraction(1))[0]
 
 
 def second_derivative_via_sum(
@@ -184,5 +170,5 @@ def second_derivative_via_sum(
         perm[site] = slot
     moved = relabel_sites(weights, perm)
     r = weights.n_states
-    scaled, z = _curvature_sum_and_z(moved.weights, moved.n_sites, r, Fraction(1))
+    scaled, z = _curvature_sum(moved.weights, moved.n_sites, r, Fraction(1))
     return scaled / (Fraction(r) ** 3 * z**3)

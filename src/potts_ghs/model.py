@@ -264,18 +264,6 @@ def relabel_sites(weights: GhostWeightVector, perm: Mapping[int, int]) -> GhostW
     )
 
 
-def model_weights_float(model: ModelSpec) -> list[float]:
-    """Pair weights e**J (and e**B on ghost pairs) aligned with pair_order."""
-    order = pair_order(model.n_sites)
-    out = []
-    for i, j in order.pairs:
-        if i == 0:
-            out.append(math.exp(model.fields[j - 1]))
-        else:
-            out.append(math.exp(model.coupling(i, j)))
-    return out
-
-
 def instance_digest(weights: GhostWeightVector) -> str:
     """Short stable digest identifying an exact instance."""
     body = f"{weights.n_sites};{weights.n_states};" + ",".join(

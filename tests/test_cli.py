@@ -577,6 +577,23 @@ def test_oversized_requests_exit_before_any_work(no_enumeration, capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify-ghs", "--n-sites", "3", "--r", "-40", "--trials", "1"],
+        ["sweep", "--n-sites-list", "3", "--r-list", "-40", "--trials", "1"],
+        ["derivative", "--n-sites", "3", "--r", "-40", "--i", "1", "--j", "2", "--k", "3"],
+        ["separation-check", "--n-sites", "4", "--mode", "random-eval", "--r", "-40"],
+    ],
+    ids=["verify-ghs", "sweep", "derivative", "separation-check"],
+)
+def test_a_state_count_below_two_is_a_usage_error(no_enumeration, capsys, argv):
+    # A negative r must not reach the capacity bound, where (-40)**4 reads
+    # as too large and (-40)**5 as small enough.
+    assert no_enumeration.main(argv) == 2
+    assert "at least 2 states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["expand", "--n-sites", "2000"],
         ["alpha-table", "--n-sites", "2000"],
         ["verify-ghs", "--model", "@model"],

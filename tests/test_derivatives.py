@@ -9,10 +9,13 @@ sign claim is asserted here beyond the two-state case.
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brute_force import ghs_I, pinned_sum
 from potts_ghs import (
@@ -23,13 +26,14 @@ from potts_ghs import (
     pair_order,
     random_model,
     random_weights,
+    relabel_sites,
     second_derivative_analytic,
     second_derivative_fd,
     second_derivative_float,
     second_derivative_via_sum,
     trial_rng,
 )
-from potts_ghs import cli, constraints, derivatives, model
+from potts_ghs import cli, derivatives
 from potts_ghs.model import weighted_sums
 from potts_ghs.modelfile import dump_weights
 
@@ -125,6 +129,36 @@ def test_via_sum_matches_the_brute_force_truncated_triple(triple):
     assert second_derivative_via_sum(w, *triple) == expected
 
 
+@st.composite
+def relabelled_cases(draw, distinct):
+    """An exact instance, a permutation of its sites and a site triple,
+    with three distinct sites or with a repeated one."""
+    n = draw(st.integers(3 if distinct else 1, 5))
+    r = draw(st.integers(2, 4))
+    ratio = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
+    size = len(pair_order(n))
+    weights = [1 + x for x in draw(st.lists(ratio, min_size=size, max_size=size))]
+    sites = range(1, n + 1)
+    perm = dict(zip(sites, draw(st.permutations(sites))))
+    if distinct:
+        triple = tuple(draw(st.permutations(sites))[:3])
+    else:
+        i, j = draw(st.sampled_from(sites)), draw(st.sampled_from(sites))
+        triple = (i, j, draw(st.sampled_from([i, j])))
+    return GhostWeightVector(n, r, tuple(weights)), perm, triple
+
+
+@pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "repeated"])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_the_analytic_derivative_follows_a_relabelling(distinct, data):
+    # Site perm[s] of the relabelled instance plays the part of site s.
+    w, perm, (i, j, k) = data.draw(relabelled_cases(distinct))
+    moved = relabel_sites(w, perm)
+    expected = second_derivative_analytic(w, i, j, k)
+    assert second_derivative_analytic(moved, perm[i], perm[j], perm[k]) == expected
+
+
 @pytest.fixture
 def count_passes(monkeypatch):
     """Count weighted_sums calls wherever a potts_ghs module binds it."""
@@ -134,8 +168,9 @@ def count_passes(monkeypatch):
         calls.append(args)
         return weighted_sums(*args, **kwargs)
 
-    for module in (model, constraints, derivatives):
-        monkeypatch.setattr(module, "weighted_sums", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "potts_ghs" and hasattr(module, "weighted_sums"):
+            monkeypatch.setattr(module, "weighted_sums", counted)
     return calls
 
 
