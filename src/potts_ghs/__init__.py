@@ -28,11 +28,7 @@ from .alpha import (
     sign_report,
     table_export,
 )
-from .constraints import (
-    GHS_TERMS,
-    ConstraintMatrix,
-    matrix_coefficient,
-)
+from .constraints import GHS_TERMS, matrix_coefficient
 from .derivatives import (
     ghs_sum,
     second_derivative_analytic,
@@ -65,7 +61,6 @@ from .xpoly import XPoly, monomial_key, xpoly_eval, xpoly_records
 __all__ = [
     "AlphaTable",
     "CapacityError",
-    "ConstraintMatrix",
     "GHS_TERMS",
     "GhostWeightVector",
     "LaurentPoly",

@@ -17,15 +17,16 @@ comparison of the computed entries against them.  Mismatches are reported
 as possible errata in the reference, never silently adopted.  The
 comparison also rebuilds every entry by the source's own construction, the
 signed coefficients of the constraint matrices supported on the core pairs
-summed by row weight, as a cross-check on the core.
+summed by row weight, as a cross-check on the core; each matrix is built as
+its three columns, subsets of the core pairs (1, 2), (1, 3), (2, 3).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import compress, product
 
-from .constraints import ConstraintMatrix, matrix_coefficient
+from .constraints import matrix_coefficient
 from .laurent import LaurentPoly
 from .model import pair_order
 from .modelfile import rational_str
@@ -263,8 +264,10 @@ def compare_reference(table: AlphaTable) -> dict:
     mismatch flags a possible erratum in the reference table.  The report
     also cross-checks the entries (``oracle_agreement``) against the
     source's construction: each of the 512 constraint matrices supported on
-    the three core pairs contributes its ``matrix_coefficient``, the
-    GHS_TERMS sum of r**(block count), to the entry of its row weights.
+    the three core pairs, given as three columns that are each a subset of
+    those pairs, contributes its ``matrix_coefficient``, the GHS_TERMS sum
+    of r**(block count), to the entry of its row weights (how many columns
+    hold each core pair).
     The table comes from the core's subset product under the staged
     ``ghs_combination``, so the two routes share ``block_count`` only.  The
     check against the definition itself is the brute-force enumerator in
@@ -295,11 +298,12 @@ def compare_reference(table: AlphaTable) -> dict:
             record["note"] = "possible erratum in the reference closed form"
         records.append(record)
 
-    core = pair_order(n).core_indices
+    core = ((1, 2), (1, 3), (2, 3))
+    subsets = [tuple(compress(core, bits)) for bits in product((0, 1), repeat=3)]
     summed: dict[tuple[int, int, int], LaurentPoly] = {}
-    for rows in product(product((0, 1), repeat=3), repeat=3):
-        key = tuple(sum(row) for row in rows)
-        coeff = matrix_coefficient(ConstraintMatrix(n, tuple(zip(core, rows))))
+    for columns in product(subsets, repeat=3):
+        key = tuple(sum(pair in column for column in columns) for pair in core)
+        coeff = matrix_coefficient(n, columns)
         summed[key] = summed.get(key, LaurentPoly.zero()) + coeff
     oracle_agreement = all(table.entries[t] == summed[t] for t in summed)
     coverage_ok = sorted(covered) == sorted(

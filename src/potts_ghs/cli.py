@@ -298,9 +298,12 @@ def _cmd_separation_check(args) -> tuple:
             if getattr(args, name) is not None:
                 raise UsageError(f"--{name} is not used by --mode exhaustive")
     else:
-        if args.r is not None:
-            _check_work(args.n_sites, args.r)
+        if args.r is None:
+            raise UsageError("--mode random-eval needs --r")
         trials = 50 if trials is None else trials
+        if trials < 1:
+            raise UsageError("--trials must be >= 1")
+        _check_work(args.n_sites, args.r)
         seed = 0 if seed is None else seed
     report = separation_check(
         args.n_sites, args.mode, trials=trials, seed=seed, n_states=args.r

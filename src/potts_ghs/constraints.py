@@ -23,18 +23,18 @@ the finite-difference oracle take.  ``_curvature_sum`` is that pass at
 that ``second_derivative_via_sum`` needs no second pass.  ``constrained_sum``,
 a quotient of ``weighted_sums``, is kept only for the benchmark's tracer.
 Their independent check is the stdlib enumerator ``tests/brute_force.py``.
-A constraint matrix A adds, for each pair p with column entry a(p, c) = 1,
-the equality sigma_i = sigma_j of that pair to factor c; its coefficient is
-the signed sum of r**(number of blocks) over the five terms, an integer
-Laurent polynomial in r.  Summed by row weight over the matrices on the
-three core pairs they give the alpha table, which ``alpha.compare_reference``
-uses as the cross-check on the reduced core.
+A constraint matrix is a 0/1 matrix with one row per site pair and three
+columns, and ``matrix_coefficient`` takes it as its three columns of site
+pairs: each pair listed in column c adds its equality sigma_i = sigma_j to
+factor c.  The coefficient is the signed sum of r**(number of blocks) over
+the five terms, an integer Laurent polynomial in r.  Summed by row weight
+over the matrices on the three core pairs they give the alpha table, which
+``alpha.compare_reference`` uses as the cross-check on the reduced core.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .laurent import LaurentPoly
 from .model import GhostWeightVector, pair_order, weighted_sums
@@ -90,47 +90,6 @@ def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
     return n_states**3 * ghs_combination(sums), sums[0]
 
 
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """A 0/1 matrix with one row per pair and three columns.
-
-    ``entries`` holds the nonzero rows only, keyed by pair index in
-    pair_order(n_sites).
-    """
-
-    n_sites: int
-    entries: tuple[tuple[int, tuple[int, int, int]], ...]
-
-    def __post_init__(self):
-        n_pairs = len(pair_order(self.n_sites))
-        rows = []
-        seen = set()
-        for p, row in self.entries:
-            row = tuple(row)
-            if not 0 <= p < n_pairs:
-                raise ValueError(f"pair index {p} out of range")
-            if p in seen:
-                raise ValueError(f"duplicate row for pair index {p}")
-            seen.add(p)
-            if len(row) != 3 or any(a not in (0, 1) for a in row):
-                raise ValueError(f"row {row!r} must be three 0/1 entries")
-            if row != (0, 0, 0):
-                rows.append((p, row))
-        rows.sort()
-        object.__setattr__(self, "entries", tuple(rows))
-
-    @classmethod
-    def from_rows(
-        cls, n_sites: int, rows: Mapping[int, tuple[int, int, int]]
-    ) -> "ConstraintMatrix":
-        return cls(n_sites, tuple(rows.items()))
-
-    def column_pairs(self, c: int) -> tuple[tuple[int, int], ...]:
-        """Site pairs whose equality enters factor c (0-based column)."""
-        order = pair_order(self.n_sites)
-        return tuple(order.pairs[p] for p, row in self.entries if row[c])
-
-
 def constrained_sum(
     weights: GhostWeightVector,
     equalities: Iterable[tuple[int, int]],
@@ -166,18 +125,21 @@ def constrained_sum(
     return r * prefactor * z
 
 
-def matrix_coefficient(matrix: ConstraintMatrix) -> LaurentPoly:
-    """Signed Laurent coefficient of a constraint matrix.
+def matrix_coefficient(n_sites: int, columns) -> LaurentPoly:
+    """Signed Laurent coefficient of a 0/1 constraint matrix with three columns.
 
+    Column c of ``columns`` lists the site pairs whose entry in column c is 1.
     Each of the five terms contributes sign * r**(S1 + S2 + S3), where S_c is
     the block count of the partition of {0, ..., n_sites} generated by the
     built-in equalities of factor c together with the pairs of column c.
     """
-    columns = [matrix.column_pairs(c) for c in range(3)]
+    columns = tuple(tuple(column) for column in columns)
+    if len(columns) != 3:
+        raise ValueError(f"a constraint matrix has 3 columns, not {len(columns)}")
     coeffs: dict[int, int] = {}
     for sign, builtins in GHS_TERMS:
         exp = 0
         for c in range(3):
-            exp += block_count(matrix.n_sites, builtins[c] + columns[c])
+            exp += block_count(n_sites, builtins[c] + columns[c])
         coeffs[exp] = coeffs.get(exp, 0) + sign
     return LaurentPoly(coeffs)

@@ -68,10 +68,10 @@ def _parse_number(value) -> float:
 def load_model(path: str | Path) -> GhostWeightVector | ModelSpec:
     """Parse a model file into an exact weight vector or a physical model."""
     try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelFileError(f"cannot read model file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ModelFileError(f"invalid JSON in model file: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelFileError("model file must contain a JSON object")

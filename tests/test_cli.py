@@ -142,6 +142,24 @@ def test_verify_bad_model_file(tmp_path):
     assert result.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 100000, "invalid JSON in model file"),
+        (b'{"a": ' * 3000 + b"1" + b"}" * 3000, "invalid JSON in model file"),
+        (b'{"n_sites": "\xff"}', "cannot read model file"),
+    ],
+    ids=["nested-array", "nested-object", "not-utf-8"],
+)
+def test_an_unparseable_model_file_is_a_usage_error(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    result = run_cli("verify-ghs", "--model", str(path))
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # derivative
 
@@ -357,6 +375,21 @@ def test_separation_random_eval(tmp_path):
 def test_separation_random_eval_needs_r():
     result = run_cli("separation-check", "--n-sites", "3", "--mode", "random-eval")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        ([], "--r"),
+        (["--r", "3", "--trials", "0"], "--trials"),
+        (["--r", "3", "--trials", "-2"], "--trials"),
+    ],
+    ids=["no-r", "zero-trials", "negative-trials"],
+)
+def test_separation_random_eval_names_the_flag_it_refuses(tmp_path, capsys, extra, flag):
+    argv = ["separation-check", "--n-sites", "3", "--mode", "random-eval"] + extra
+    assert run_main(tmp_path, argv) == (2, None)
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--r", "--trials", "--seed"])

@@ -1,8 +1,8 @@
-"""Tests for constraint matrices, constrained spin sums, and their coefficients."""
+"""Tests for constraint-matrix coefficients, constrained spin sums and the combiner."""
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from potts_ghs import (
     GHS_TERMS,
-    ConstraintMatrix,
     GhostWeightVector,
     LaurentPoly,
     XPoly,
@@ -36,14 +35,16 @@ def brute_constrained_sum(weights, equalities, active_pairs):
     return total
 
 
-def random_matrix(n_sites, rng):
-    order = pair_order(n_sites)
-    rows = {}
-    for p in range(len(order)):
-        row = tuple(rng.randint(0, 1) for _ in range(3))
-        if any(row):
-            rows[p] = row
-    return ConstraintMatrix.from_rows(n_sites, rows)
+def random_columns(n_sites, rng):
+    """The three columns of a random 0/1 matrix with a row per site pair."""
+    pairs = pair_order(n_sites).pairs
+    rows = [[rng.randint(0, 1) for _ in range(3)] for _ in pairs]
+    return [tuple(pair for pair, row in zip(pairs, rows) if row[c]) for c in range(3)]
+
+
+def core_columns(row):
+    """Columns of the matrix whose rows on the core pairs all equal ``row``."""
+    return [((1, 2), (1, 3), (2, 3)) if bit else () for bit in row]
 
 
 # ---------------------------------------------------------------------------
@@ -139,59 +140,27 @@ def test_constrained_sum_matches_brute_force(case):
 
 
 # ---------------------------------------------------------------------------
-# ConstraintMatrix
-
-
-def test_matrix_drops_zero_rows_and_sorts():
-    m = ConstraintMatrix(3, ((4, (0, 1, 0)), (1, (0, 0, 0)), (3, (1, 1, 1))))
-    assert m.entries == ((3, (1, 1, 1)), (4, (0, 1, 0)))
-
-
-def test_matrix_rejects_bad_rows():
-    with pytest.raises(ValueError, match="0/1"):
-        ConstraintMatrix(3, ((3, (0, 2, 0)),))
-    with pytest.raises(ValueError, match="0/1"):
-        ConstraintMatrix(3, ((3, (1, 1)),))
-    with pytest.raises(ValueError, match="duplicate"):
-        ConstraintMatrix(3, ((3, (1, 0, 0)), (3, (0, 1, 0))))
-    with pytest.raises(ValueError, match="out of range"):
-        ConstraintMatrix(3, ((6, (1, 0, 0)),))
-    with pytest.raises(ValueError, match="out of range"):
-        ConstraintMatrix(3, ((-1, (1, 0, 0)),))
-
-
-def test_matrix_column_pairs_and_profile():
-    m = ConstraintMatrix.from_rows(3, {3: (1, 0, 1), 5: (0, 1, 1), 0: (1, 0, 0)})
-    assert m.column_pairs(0) == ((0, 1), (1, 2))
-    assert m.column_pairs(1) == ((2, 3),)
-    assert m.column_pairs(2) == ((1, 2), (2, 3))
-
-
-# ---------------------------------------------------------------------------
 # matrix_coefficient
 
 
 def test_zero_matrix_has_zero_coefficient():
     for n in (3, 4):
-        assert matrix_coefficient(ConstraintMatrix(n, ())) == LaurentPoly.zero()
+        assert matrix_coefficient(n, ((), (), ())) == LaurentPoly.zero()
 
 
 def test_all_ones_core_matrix_coefficient():
-    core = pair_order(3).core_indices
-    m = ConstraintMatrix.from_rows(3, {p: (1, 1, 1) for p in core})
-    assert matrix_coefficient(m) == LaurentPoly({5: 1, 4: -3, 3: 2})
+    poly = matrix_coefficient(3, core_columns((1, 1, 1)))
+    assert poly == LaurentPoly({5: 1, 4: -3, 3: 2})
 
 
 def test_extra_site_shifts_coefficient_by_three():
-    m3 = ConstraintMatrix.from_rows(3, {p: (1, 1, 1) for p in pair_order(3).core_indices})
-    m4 = ConstraintMatrix.from_rows(4, {p: (1, 1, 1) for p in pair_order(4).core_indices})
-    assert matrix_coefficient(m4) == matrix_coefficient(m3).shift(3)
+    m3 = matrix_coefficient(3, core_columns((1, 1, 1)))
+    m4 = matrix_coefficient(4, core_columns((1, 1, 1)))
+    assert m4 == m3.shift(3)
 
 
 def test_core_101_matrix_coefficient():
-    core = pair_order(3).core_indices
-    m = ConstraintMatrix.from_rows(3, {p: (1, 0, 1) for p in core})
-    poly = matrix_coefficient(m)
+    poly = matrix_coefficient(3, core_columns((1, 0, 1)))
     assert poly == LaurentPoly({7: 1, 5: -1})
     assert poly.evaluate(2) == 96
 
@@ -200,20 +169,40 @@ def test_matrix_coefficient_vanishes_at_one_state():
     rng = random.Random("annihilate:0")
     for _ in range(30):
         n = rng.choice([3, 4])
-        assert matrix_coefficient(random_matrix(n, rng)).evaluate(1) == 0
+        assert matrix_coefficient(n, random_columns(n, rng)).evaluate(1) == 0
+
+
+@pytest.mark.parametrize(
+    "columns, message",
+    [
+        ((((1, 2),), ((1, 5),), ()), r"equality \(1, 5\) out of range for n_sites=3"),
+        (((), ((0, 4),), ((1, 2),)), r"equality \(0, 4\) out of range for n_sites=3"),
+        ((((-1, 2),), (), ()), r"equality \(-1, 2\) out of range for n_sites=3"),
+        ((((1, 2),), (), ((2, 2),)), r"degenerate equality \(2, 2\)"),
+    ],
+    ids=["beyond-n", "ghost-beyond-n", "negative", "degenerate"],
+)
+def test_matrix_coefficient_rejects_a_bad_pair(columns, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_coefficient(3, columns)
+
+
+@pytest.mark.parametrize("columns", [((), ()), ((), (), (), ((1, 2),))], ids=["2", "4"])
+def test_matrix_coefficient_takes_three_columns(columns):
+    with pytest.raises(ValueError, match=f"3 columns, not {len(columns)}"):
+        matrix_coefficient(3, columns)
 
 
 # ---------------------------------------------------------------------------
 # matrix_sum_value: the dual route
 
 
-def matrix_sum_value(matrix, weights):
+def matrix_sum_value(columns, weights):
     """Five-term signed combination of constrained sums with no active pairs.
 
     Every factor reduces to r**(block count), so the value equals
-    matrix_coefficient(matrix) evaluated at r.
+    matrix_coefficient(n_sites, columns) evaluated at r.
     """
-    columns = [matrix.column_pairs(c) for c in range(3)]
     total = Fraction(0)
     for sign, builtins in GHS_TERMS:
         prod_val = Fraction(1)
@@ -228,26 +217,26 @@ def test_matrix_sum_value_matches_coefficient_evaluation():
     for _ in range(20):
         n = rng.choice([3, 4])
         r = rng.choice([2, 3, 4])
-        m = random_matrix(n, rng)
+        columns = random_columns(n, rng)
         # No pairs are active in the five-term sum, so any weights give
         # the same value: the coefficient evaluated at r.
         w = random_weights(n, r, rng)
-        assert matrix_sum_value(m, w) == matrix_coefficient(m).evaluate(r)
+        expected = matrix_coefficient(n, columns).evaluate(r)
+        assert matrix_sum_value(columns, w) == expected
 
 
 def test_matrix_sum_value_matches_brute_force():
     rng = random.Random("dual:1")
     for _ in range(5):
-        m = random_matrix(3, rng)
+        columns = random_columns(3, rng)
         w = random_weights(3, 2, rng)
-        columns = [m.column_pairs(c) for c in range(3)]
         expected = Fraction(0)
         for sign, builtins in GHS_TERMS:
             prod_val = Fraction(1)
             for c in range(3):
                 prod_val *= brute_constrained_sum(w, builtins[c] + columns[c], ())
             expected += sign * prod_val
-        assert matrix_sum_value(m, w) == expected
+        assert matrix_sum_value(columns, w) == expected
 
 
 def test_single_field_row_coefficients():
@@ -260,8 +249,8 @@ def test_single_field_row_coefficients():
     )
     total = LaurentPoly.zero()
     for col in range(3):
-        row = tuple(1 if c == col else 0 for c in range(3))
-        poly = matrix_coefficient(ConstraintMatrix.from_rows(3, {0: row}))
+        columns = [((0, 1),) if c == col else () for c in range(3)]
+        poly = matrix_coefficient(3, columns)
         assert poly == expected[col]
         total = total + poly
     assert total == LaurentPoly.zero()

@@ -11,7 +11,6 @@ from brute_force import ghs_I
 from potts_ghs import (
     GHS_TERMS,
     CapacityError,
-    ConstraintMatrix,
     LaurentPoly,
     XPoly,
     alpha,
@@ -31,15 +30,15 @@ CORE = set(pair_order(3).core_indices)
 
 
 def profile_matrices(profile):
-    """All 0/1 constraint matrices whose row weights match the profile."""
-    choices = []
-    for p, weight in profile.items():
-        rows = []
-        for cols in combinations(range(3), weight):
-            rows.append((p, tuple(1 if c in cols else 0 for c in range(3))))
-        choices.append(rows)
+    """The columns of every 0/1 constraint matrix at n_sites = 3 whose row
+    weights (pair index to weight) match the profile."""
+    pairs = pair_order(3).pairs
+    choices = [
+        [(pairs[p], cols) for cols in combinations(range(3), weight)]
+        for p, weight in profile.items()
+    ]
     for picked in product(*choices):
-        yield ConstraintMatrix(3, picked)
+        yield [tuple(pair for pair, cols in picked if c in cols) for c in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +113,17 @@ def test_coefficients_aggregate_matrix_coefficients():
     ]
     for profile in profiles:
         total = LaurentPoly.zero()
-        for matrix in profile_matrices(profile):
-            total = total + matrix_coefficient(matrix)
+        for columns in profile_matrices(profile):
+            total = total + matrix_coefficient(3, columns)
         assert full.coefficient(profile) == total
 
 
 def test_single_matrix_profile():
     # Exponent 3 forces the all-ones row, so the aggregate has one matrix.
-    m = ConstraintMatrix.from_rows(3, {3: (1, 1, 1), 4: (1, 1, 1), 5: (1, 1, 1)})
-    assert expand_full(3).coefficient({3: 3, 4: 3, 5: 3}) == matrix_coefficient(m)
+    profile = {3: 3, 4: 3, 5: 3}
+    (columns,) = profile_matrices(profile)
+    assert columns == [((1, 2), (1, 3), (2, 3))] * 3
+    assert expand_full(3).coefficient(profile) == matrix_coefficient(3, columns)
 
 
 # ---------------------------------------------------------------------------

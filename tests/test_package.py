@@ -18,7 +18,6 @@ def test_export_list_is_pinned():
     assert sorted(potts_ghs.__all__) == [
         "AlphaTable",
         "CapacityError",
-        "ConstraintMatrix",
         "GHS_TERMS",
         "GhostWeightVector",
         "LaurentPoly",

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from potts_ghs import (
-    ConstraintMatrix,
     GhostWeightVector,
     LaurentPoly,
     XPoly,
@@ -247,13 +246,16 @@ def rows_of_weight(k):
 
 
 def aggregate(context_rows, p, k):
-    """Sum of matrix coefficients over weight-k rows at pair p in a context."""
+    """Sum of matrix coefficients over weight-k rows at pair index p in a
+    context of rows keyed by pair index."""
+    pairs = pair_order(3).pairs
     total = LaurentPoly.zero()
     for row in rows_of_weight(k):
         entries = dict(context_rows)
         if k:
             entries[p] = row
-        total = total + matrix_coefficient(ConstraintMatrix.from_rows(3, entries))
+        columns = [[pairs[q] for q, bits in entries.items() if bits[c]] for c in range(3)]
+        total = total + matrix_coefficient(3, columns)
         if not k:
             break
     return total
