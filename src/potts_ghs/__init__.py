@@ -38,13 +38,7 @@ from .derivatives import (
 )
 from .expansion import CapacityError, expand_full, expand_partial
 from .laurent import LaurentPoly
-from .model import (
-    GhostWeightVector,
-    ModelSpec,
-    instance_digest,
-    pair_order,
-    relabel_sites,
-)
+from .model import GhostWeightVector, ModelSpec, instance_digest, pair_order
 from .modelfile import ModelFileError, dump_weights, load_model, parse_rational, rational_str
 from .partitions import block_count
 from .sampling import random_model, random_weights, trial_rng
@@ -89,7 +83,6 @@ __all__ = [
     "random_weights",
     "rational_str",
     "reduced_expansion",
-    "relabel_sites",
     "second_derivative_analytic",
     "second_derivative_fd",
     "second_derivative_float",

@@ -52,6 +52,9 @@ FLOAT_SIGN_TOL = 1e-12
 # with a capacity error before any work.  One exact instance at n=11, r=3
 # (3**12 = 531441) takes about 9 s on a 2-CPU Xeon VM under Python 3.11.
 MAX_CONFIGURATIONS = 10**6
+# Largest sum of trials * r**(n_sites + 1) over the cells of one run:
+# verify-ghs's default 100 trials at the per-instance bound.
+MAX_TOTAL_CONFIGURATIONS = 100 * MAX_CONFIGURATIONS
 
 
 class UsageError(ValueError):
@@ -73,6 +76,18 @@ def _check_work(n_sites: int, n_states: int) -> None:
         raise CapacityError(
             f"n_sites={n_sites}, r={n_states} needs r**(n_sites+1) configurations, "
             f"more than the supported {MAX_CONFIGURATIONS}"
+        )
+
+
+def _check_total(trials: int, cells) -> None:
+    """Refuse a run whose trials over its (n_sites, r) cells, each already
+    within MAX_CONFIGURATIONS, enumerate more than MAX_TOTAL_CONFIGURATIONS
+    configurations in all (capacity)."""
+    total = trials * sum(r ** (n + 1) for n, r in cells)
+    if total > MAX_TOTAL_CONFIGURATIONS:
+        raise CapacityError(
+            f"--trials {trials} needs {total} configurations in all, "
+            f"more than the supported {MAX_TOTAL_CONFIGURATIONS}"
         )
 
 
@@ -155,10 +170,9 @@ def _cmd_verify_ghs(args) -> tuple:
         return config, [_check(name, ok, witness)], {}
 
     trials = 100 if args.trials is None else args.trials
-    checks = [
-        _check(f"trial-{k:04d}", ok, witness)
-        for k, ok, witness in _trials(args.n_sites, args.r, mode, trials, seed)
-    ]
+    run = _trials(args.n_sites, args.r, mode, trials, seed)
+    _check_total(trials, [(args.n_sites, args.r)])
+    checks = [_check(f"trial-{k:04d}", ok, witness) for k, ok, witness in run]
     config = {
         "model": None,
         "n_sites": args.n_sites,
@@ -304,6 +318,7 @@ def _cmd_separation_check(args) -> tuple:
         if trials < 1:
             raise UsageError("--trials must be >= 1")
         _check_work(args.n_sites, args.r)
+        _check_total(trials, [(args.n_sites, args.r)])
         seed = 0 if seed is None else seed
     report = separation_check(
         args.n_sites, args.mode, trials=trials, seed=seed, n_states=args.r
@@ -381,6 +396,7 @@ def _cmd_sweep(args) -> tuple:
         for n in n_values
         for r in r_values
     ]
+    _check_total(args.trials, [(n, r) for n, r, _ in cells])
     checks = []
     for n, r, trials in cells:
         failures = [{"trial": k, **witness} for k, ok, witness in trials if not ok]

@@ -18,9 +18,8 @@ F(0=S) = r * Z_S, with Z_S the pinned sum of ``model.weighted_sums``;
 terms.  ``_pinned_sums`` is the one map from a site triple to its eight
 sums Z_S, a single ``weighted_sums`` pass that every derivative route and
 the finite-difference oracle take.  ``_curvature_sum`` is that pass at
-(1, 2, 3) and the combination, which ``ghs_sum`` runs over Fraction and
-``expand_partial`` over XPoly; it also returns Z, the pass's first sum, so
-that ``second_derivative_via_sum`` needs no second pass.  ``constrained_sum``,
+(1, 2, 3) and the combination times r**3, which ``ghs_sum`` runs over
+Fraction and ``expand_partial`` over XPoly.  ``constrained_sum``,
 a quotient of ``weighted_sums``, is kept only for the benchmark's tracer.
 Their independent check is the stdlib enumerator ``tests/brute_force.py``.
 A constraint matrix is a 0/1 matrix with one row per site pair and three
@@ -81,13 +80,12 @@ def _pinned_sums(weight_seq, n_sites: int, n_states: int, triple, one) -> list:
 
 
 def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
-    """(r**3 * sum sign * Z_S1 Z_S2 Z_S3, Z) for the triple (1, 2, 3): the
-    scaled curvature sum and the partition sum, both from the one
-    ``_pinned_sums`` pass in the ring of ``one``."""
+    """r**3 * sum sign * Z_S1 Z_S2 Z_S3 for the triple (1, 2, 3): the scaled
+    curvature sum from one ``_pinned_sums`` pass in the ring of ``one``."""
     if n_sites < 3:
         raise ValueError("the curvature sum needs n_sites >= 3")
     sums = _pinned_sums(weight_seq, n_sites, n_states, (1, 2, 3), one)
-    return n_states**3 * ghs_combination(sums), sums[0]
+    return n_states**3 * ghs_combination(sums)
 
 
 def constrained_sum(

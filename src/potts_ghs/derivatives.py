@@ -13,8 +13,9 @@ sums F(0=S) = r * Z_S.  Both take the eight pinned sums Z_S of their
 triple from ``constraints._pinned_sums``, one ``weighted_sums`` pass, and
 combine them with the staged ``constraints.ghs_combination``; their
 independent check is the stdlib enumerator ``tests/brute_force.py``.
-``second_derivative_via_sum`` moves any distinct triple onto (1, 2, 3) and
-divides that sum by r**3 Z**3, also in one pass: Z is the ``()`` sum of it.
+``second_derivative_via_sum`` takes the curvature sum of any distinct
+triple from that triple's own pass and divides it by r**3 Z**3, with Z the
+``()`` sum of the same pass.
 A high-precision finite-difference oracle backs the analytic values
 numerically, on a physical model or on the exact weights themselves.  It
 takes the same ``_pinned_sums`` pass at the unshifted weights and evaluates
@@ -34,7 +35,7 @@ from fractions import Fraction
 
 from .constraints import _check_sites, _curvature_sum, _pinned_sums, ghs_combination
 from .expansion import CapacityError
-from .model import GhostWeightVector, ModelSpec, pair_order, relabel_sites
+from .model import GhostWeightVector, ModelSpec, pair_order
 
 FD_PRECISION_DPS = 40
 
@@ -148,27 +149,22 @@ def ghs_sum(weights: GhostWeightVector) -> Fraction:
     times the analytic second derivative of m_1 in the fields at sites 2, 3.
     """
     r = weights.n_states
-    return _curvature_sum(weights.weights, weights.n_sites, r, Fraction(1))[0]
+    return _curvature_sum(weights.weights, weights.n_sites, r, Fraction(1))
 
 
 def second_derivative_via_sum(
     weights: GhostWeightVector, i: int, j: int, k: int
 ) -> Fraction:
-    """Second derivative recovered from the curvature sum by relabeling.
+    """Second derivative recovered from the curvature sum of the triple.
 
-    Only defined for distinct sites: the triple (i, j, k) is moved onto
-    (1, 2, 3) and the scaled sum is divided back by r**3 Z**3.  One pass:
-    Z is the ``()`` sum of the pass that ``ghs_sum`` makes on the moved
-    instance.
+    Only defined for distinct sites: the scaled sum of (i, j, k) is divided
+    back by r**3 Z**3, where the r**3 cancels.  One pass: Z is the ``()``
+    sum of the triple's own ``_pinned_sums`` pass.
     """
     _check_sites(weights.n_sites, i, j, k)
     if len({i, j, k}) != 3:
         raise ValueError("the curvature-sum route needs three distinct sites")
-    perm = {i: 1, j: 2, k: 3}
-    rest = sorted(set(range(1, weights.n_sites + 1)) - {i, j, k})
-    for slot, site in enumerate(rest, start=4):
-        perm[site] = slot
-    moved = relabel_sites(weights, perm)
-    r = weights.n_states
-    scaled, z = _curvature_sum(moved.weights, moved.n_sites, r, Fraction(1))
-    return scaled / (Fraction(r) ** 3 * z**3)
+    sums = _pinned_sums(
+        weights.weights, weights.n_sites, weights.n_states, (i, j, k), Fraction(1)
+    )
+    return ghs_combination(sums) / sums[0] ** 3

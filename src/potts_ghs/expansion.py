@@ -91,4 +91,4 @@ def expand_partial(weights: GhostWeightVector, s: int) -> XPoly:
     weight_seq += [XPoly({(): 1, ((p, 1),): 1}) for p in range(first, n_pairs)]
     return _curvature_sum(
         weight_seq, weights.n_sites, weights.n_states, XPoly.constant(Fraction(1))
-    )[0]
+    )

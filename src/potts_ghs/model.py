@@ -239,31 +239,6 @@ def weighted_sums(
     ]
 
 
-def relabel_sites(weights: GhostWeightVector, perm: Mapping[int, int]) -> GhostWeightVector:
-    """Transport weights along a permutation of ordinary sites.
-
-    ``perm`` maps old site labels to new ones (ghost fixed); site perm[i] of
-    the returned instance has the magnetization that site i had.
-    """
-    n = weights.n_sites
-    mapping = dict(perm)
-    for i in range(1, n + 1):
-        mapping.setdefault(i, i)
-    if sorted(mapping.keys()) != list(range(1, n + 1)) or sorted(
-        mapping.values()
-    ) != list(range(1, n + 1)):
-        raise ValueError("perm must be a bijection on {1, ..., n_sites}")
-    mapping[0] = 0
-    order = pair_order(n)
-    table = {}
-    for (i, j), t in zip(order.pairs, weights.weights):
-        a, b = mapping[i], mapping[j]
-        table[(min(a, b), max(a, b))] = t
-    return GhostWeightVector(
-        n, weights.n_states, tuple(table[pair] for pair in order.pairs)
-    )
-
-
 def instance_digest(weights: GhostWeightVector) -> str:
     """Short stable digest identifying an exact instance."""
     body = f"{weights.n_sites};{weights.n_states};" + ",".join(

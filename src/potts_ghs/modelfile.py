@@ -34,17 +34,29 @@ def parse_rational(value) -> Fraction:
         text = value.strip()
         if not _RATIONAL_RE.match(text):
             raise ModelFileError(f"malformed rational {value!r} (want 'p/q' or 'p')")
-        if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
-                raise ModelFileError(f"zero denominator in {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        num, _, den = text.partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as exc:  # past the interpreter's int digit limit
+            raise ModelFileError(
+                f"rational of {len(text)} characters has too many digits to read"
+            ) from exc
+        if den == 0:
+            raise ModelFileError(f"zero denominator in {value!r}")
+        return Fraction(num, den)
     if isinstance(value, float):
         raise ModelFileError(
             f"float {value!r} not allowed in exact-weights mode; write 'p/q'"
         )
     raise ModelFileError(f"not a rational: {value!r}")
+
+
+def _parse_weight(value, where: str) -> Fraction:
+    """``parse_rational`` whose errors name ``where`` the weight sits."""
+    try:
+        return parse_rational(value)
+    except ModelFileError as exc:
+        raise ModelFileError(f"weight for {where}: {exc}") from exc
 
 
 def rational_str(q: Fraction) -> str:
@@ -73,6 +85,8 @@ def load_model(path: str | Path) -> GhostWeightVector | ModelSpec:
         raise ModelFileError(f"cannot read model file: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ModelFileError(f"invalid JSON in model file: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ModelFileError("a model file integer has too many digits") from exc
     if not isinstance(data, dict):
         raise ModelFileError("model file must contain a JSON object")
 
@@ -114,12 +128,12 @@ def load_model(path: str | Path) -> GhostWeightVector | ModelSpec:
     if mode == "exact-weights":
         pair_map: dict[tuple[int, int], Fraction] = {}
         for i, j, val in entries:
-            t = parse_rational(val)
+            t = _parse_weight(val, f"pair ({i}, {j})")
             if t < 1:
                 raise ModelFileError(f"weight {val!r} for pair ({i}, {j}) is < 1")
             pair_map[(i, j)] = t
         for site, val in enumerate(fields, start=1):
-            t = parse_rational(val)
+            t = _parse_weight(val, f"the field of site {site}")
             if t < 1:
                 raise ModelFileError(f"field weight {val!r} for site {site} is < 1")
             pair_map[(0, site)] = t

@@ -61,11 +61,12 @@ FIELD_COEFFS: tuple[LaurentPoly, ...] = (
 
 @dataclass(frozen=True)
 class SeparatedForm:
-    """Factored shape of the expansion: per-pair factors times the core."""
+    """Factored shape of the expansion: per-pair factors times the core.
+
+    ``factors`` is keyed by the field and bulk pair indices of
+    ``pair_order(n_sites)``."""
 
     n_sites: int
-    field_pairs: tuple[int, ...]
-    bulk_pairs: tuple[int, ...]
     factors: dict[int, XPoly]
     core: XPoly
 
@@ -93,13 +94,7 @@ def separated_form(n_sites: int) -> SeparatedForm:
     order = pair_order(n_sites)
     factors = {p: factor_poly(FIELD_COEFFS, p) for p in order.field_indices}
     factors.update({p: factor_poly(BULK_COEFFS, p) for p in order.bulk_indices})
-    return SeparatedForm(
-        n_sites=n_sites,
-        field_pairs=order.field_indices,
-        bulk_pairs=order.bulk_indices,
-        factors=factors,
-        core=reduced_expansion(n_sites),
-    )
+    return SeparatedForm(n_sites, factors, reduced_expansion(n_sites))
 
 
 def assemble_separated(form: SeparatedForm) -> XPoly:

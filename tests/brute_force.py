@@ -13,7 +13,8 @@ for the sum over configurations with every site of S in the ghost's state,
     Z**3 kappa = Z Z Z_123 - Z Z_12 Z_3 - Z Z_13 Z_2 - Z Z_23 Z_1
                  + 2 Z_1 Z_2 Z_3.
 
-``pinned_sum`` computes Z_S itself for any site set S.
+``pinned_sum`` computes Z_S itself for any site set S, and ``relabel``
+moves pair weights along a permutation of the sites.
 
 It uses the standard library only and never imports ``potts_ghs``, so it
 checks the constrained sums, the expansions and ``model.weighted_sums``
@@ -96,6 +97,17 @@ def pinned_sum(n_sites: int, n_states: int, weights, sites=()) -> Fraction:
             (w for (i, j), w in t.items() if spins[i] == spins[j]), start=Fraction(1)
         )
     return total
+
+
+def relabel(n_sites: int, weights, perm) -> tuple:
+    """The pair weights of the instance whose site perm[s] plays the part of
+    site s; ``perm`` is a bijection on 1..n_sites and the ghost stays 0."""
+    mapping = {0: 0, **perm}
+    moved = {}
+    for (i, j), w in zip(pairs(n_sites), weights, strict=True):
+        a, b = sorted((mapping[i], mapping[j]))
+        moved[a, b] = w
+    return tuple(moved[p] for p in pairs(n_sites))
 
 
 class _Poly:

@@ -160,6 +160,41 @@ def test_an_unparseable_model_file_is_a_usage_error(tmp_path, content, message):
     assert "Traceback" not in result.stderr
 
 
+# Interpreters without a limit on integer strings (before 3.10.7, or with
+# the limit switched off) read any digit count.
+digit_limit = pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="no limit on integer string digits",
+)
+
+
+@digit_limit
+def test_an_integer_past_the_digit_limit_is_a_model_file_error(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n_sites": %s, "n_states": 3, "mode": "physical"}' % ("9" * 4401))
+    result = run_cli("verify-ghs", "--model", str(path))
+    assert result.returncode == 2
+    assert "model file integer has too many digits" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@digit_limit
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"couplings": [[1, 2, "9" * 5000 + "/7"]]}, "pair (1, 2)"),
+        ({"fields": ["1", "9" * 5000, "1"]}, "the field of site 2"),
+    ],
+    ids=["pair", "field"],
+)
+def test_a_rational_past_the_digit_limit_names_its_key(tmp_path, doc, where):
+    doc = {"n_sites": 3, "n_states": 3, "mode": "exact-weights", **doc}
+    result = run_cli("verify-ghs", "--model", write_exact_model(tmp_path, doc))
+    assert result.returncode == 2
+    assert f"weight for {where}: " in result.stderr
+    assert "too many digits" in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # derivative
 
@@ -605,6 +640,40 @@ def test_oversized_requests_exit_before_any_work(no_enumeration, capsys, argv):
     assert no_enumeration.main(argv) == 3
     assert time.perf_counter() - start < 1.0
     assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-ghs", "--n-sites", "3", "--r", "2", "--trials", "100000000"],
+        ["sweep", "--n-sites-list", "3", "--r-list", "2", "--trials", "100000000"],
+        ["separation-check", "--n-sites", "3", "--mode", "random-eval", "--r", "2",
+         "--trials", "100000000"],
+    ],
+    ids=["verify-ghs", "sweep", "separation-check"],
+)
+def test_a_run_past_the_total_work_bound_exits_before_any_work(
+    no_enumeration, monkeypatch, capsys, argv
+):
+    # Each instance is small; 10**8 trials of 2**4 configurations are not.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("separation check started")
+
+    monkeypatch.setattr(no_enumeration, "separation_check", forbidden)
+    start = time.perf_counter()
+    assert no_enumeration.main(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_the_total_work_bound_sums_the_cells_of_a_sweep(no_enumeration, capsys):
+    # 3 * 10**6 trials of 2**4 or 2**5 configurations are within the bound
+    # in either cell alone, not over both.
+    for cell in ((3, 2), (4, 2)):
+        no_enumeration._check_total(3_000_000, [cell])
+    argv = ["sweep", "--n-sites-list", "3,4", "--r-list", "2", "--trials", "3000000"]
+    assert no_enumeration.main(argv) == 3
+    assert "--trials" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

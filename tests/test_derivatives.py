@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import ghs_I, pinned_sum
+from brute_force import ghs_I, pinned_sum, relabel
 from potts_ghs import (
     CapacityError,
     GhostWeightVector,
@@ -26,7 +26,6 @@ from potts_ghs import (
     pair_order,
     random_model,
     random_weights,
-    relabel_sites,
     second_derivative_analytic,
     second_derivative_fd,
     second_derivative_float,
@@ -130,22 +129,30 @@ def test_via_sum_matches_the_brute_force_truncated_triple(triple):
 
 
 @st.composite
-def relabelled_cases(draw, distinct):
-    """An exact instance, a permutation of its sites and a site triple,
-    with three distinct sites or with a repeated one."""
-    n = draw(st.integers(3 if distinct else 1, 5))
+def exact_instances(draw, min_sites):
+    """An exact instance with min_sites..5 sites, 2..4 states and weights
+    1 + p/q for small p, q."""
+    n = draw(st.integers(min_sites, 5))
     r = draw(st.integers(2, 4))
     ratio = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
     size = len(pair_order(n))
     weights = [1 + x for x in draw(st.lists(ratio, min_size=size, max_size=size))]
-    sites = range(1, n + 1)
+    return GhostWeightVector(n, r, tuple(weights))
+
+
+@st.composite
+def relabelled_cases(draw, distinct):
+    """An exact instance, a permutation of its sites and a site triple,
+    with three distinct sites or with a repeated one."""
+    w = draw(exact_instances(3 if distinct else 1))
+    sites = range(1, w.n_sites + 1)
     perm = dict(zip(sites, draw(st.permutations(sites))))
     if distinct:
         triple = tuple(draw(st.permutations(sites))[:3])
     else:
         i, j = draw(st.sampled_from(sites)), draw(st.sampled_from(sites))
         triple = (i, j, draw(st.sampled_from([i, j])))
-    return GhostWeightVector(n, r, tuple(weights)), perm, triple
+    return w, perm, triple
 
 
 @pytest.mark.parametrize("distinct", [True, False], ids=["distinct", "repeated"])
@@ -154,7 +161,9 @@ def relabelled_cases(draw, distinct):
 def test_the_analytic_derivative_follows_a_relabelling(distinct, data):
     # Site perm[s] of the relabelled instance plays the part of site s.
     w, perm, (i, j, k) = data.draw(relabelled_cases(distinct))
-    moved = relabel_sites(w, perm)
+    moved = GhostWeightVector(
+        w.n_sites, w.n_states, relabel(w.n_sites, w.weights, perm)
+    )
     expected = second_derivative_analytic(w, i, j, k)
     assert second_derivative_analytic(moved, perm[i], perm[j], perm[k]) == expected
 
@@ -237,6 +246,16 @@ def test_curvature_sum_bridge_identity():
                     weights[order.index_of[pair]] = Fraction(1)
             w = GhostWeightVector(n, r, tuple(weights))
             assert ghs_sum(w) == ghs_I(n, r, weights), (n, r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(w=exact_instances(3))
+def test_the_curvature_sum_is_the_scaled_analytic_derivative(w):
+    # The bridge ghs_I = r**3 Z**3 d2m_1/dB_2 dB_3, with Z from the stdlib
+    # enumerator.
+    r = w.n_states
+    z = pinned_sum(w.n_sites, r, w.weights)
+    assert ghs_sum(w) == r**3 * z**3 * second_derivative_analytic(w, 1, 2, 3)
 
 
 def test_two_state_curvature_is_nonpositive():

@@ -9,14 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import pinned_sum as oracle_pinned_sum
-from potts_ghs import (
-    GhostWeightVector,
-    ModelSpec,
-    instance_digest,
-    pair_order,
-    relabel_sites,
-)
+from brute_force import pinned_sum as oracle_pinned_sum, relabel
+from potts_ghs import GhostWeightVector, ModelSpec, instance_digest, pair_order
 from potts_ghs.constraints import constrained_sum
 from potts_ghs.model import weighted_sums
 from potts_ghs.sampling import random_weights, trial_rng
@@ -210,10 +204,10 @@ def test_magnetization_increases_with_its_own_field():
         assert magnetization(w2, 1) > magnetization(w, 1)
 
 
-def test_relabel_sites_preserves_the_partition_function():
+def test_relabelling_preserves_the_partition_function():
     w = random_weights(4, 3, trial_rng(34, 0))
     perm = {1: 3, 2: 1, 3: 4, 4: 2}
-    relabeled = relabel_sites(w, perm)
+    relabeled = GhostWeightVector(4, 3, relabel(4, w.weights, perm))
     assert pinned_sum(relabeled) == pinned_sum(w)
     assert relabeled.weight_of(0, 3) == w.weight_of(0, 1)
     assert relabeled.weight_of(1, 4) == w.weight_of(2, 3)

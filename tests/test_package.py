@@ -46,7 +46,6 @@ def test_export_list_is_pinned():
         "random_weights",
         "rational_str",
         "reduced_expansion",
-        "relabel_sites",
         "second_derivative_analytic",
         "second_derivative_fd",
         "second_derivative_float",

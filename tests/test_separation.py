@@ -40,8 +40,9 @@ FIELD_VARS = set(pair_order(3).field_indices)
 
 def test_skeleton_at_three_sites():
     form = separated_form(3)
-    assert form.field_pairs == (0, 1, 2)
-    assert form.bulk_pairs == ()
+    order = pair_order(3)
+    assert order.field_indices == (0, 1, 2)
+    assert order.bulk_indices == ()
     assert set(form.factors) == {0, 1, 2}
     assert form.factors[0] == factor_poly(FIELD_COEFFS, 0)
 
@@ -49,14 +50,14 @@ def test_skeleton_at_three_sites():
 def test_skeleton_at_four_sites():
     form = separated_form(4)
     order = pair_order(4)
-    assert form.field_pairs == (0, 1, 2)
-    assert tuple(order.pairs[p] for p in form.bulk_pairs) == (
+    assert order.field_indices == (0, 1, 2)
+    assert tuple(order.pairs[p] for p in order.bulk_indices) == (
         (0, 4),
         (1, 4),
         (2, 4),
         (3, 4),
     )
-    assert set(form.factors) == set(form.field_pairs) | set(form.bulk_pairs)
+    assert set(form.factors) == set(order.field_indices) | set(order.bulk_indices)
 
 
 def test_factor_coefficient_tables():
