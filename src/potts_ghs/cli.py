@@ -39,7 +39,7 @@ from .model import (
 )
 from .modelfile import dump_weights, load_model, rational_str
 from .sampling import random_model, random_weights, trial_rng
-from .separation import separation_check
+from .separation import evaluate_separated, separated_form, separation_check
 from .xpoly import xpoly_eval, xpoly_records
 
 EXIT_PASS = 0
@@ -137,25 +137,44 @@ def _instance_source(args, replaced: tuple[str, ...]) -> tuple:
     return None, args.mode or "exact", 0 if args.seed is None else args.seed
 
 
-def _trials(n: int, r: int, mode: str, trials: int, seed: int):
-    """Validate one (n, r) cell, then return its seeded trials lazily as
-    (k, ok, witness); a failing exact witness carries its model file."""
+def _trials(cells, mode: str, trials: int, seed: int, check) -> list:
+    """Validate every (n, r) cell of a run and its total work, then return
+    one lazy generator of the cell's seeded trials as (k, ok, witness) per
+    cell, where ``check(instance)`` gives (ok, witness)."""
     if trials < 1:
         raise UsageError("--trials must be >= 1")
-    if n < 3:
-        raise UsageError("the verified site triple (1,2,3) needs n_sites >= 3")
-    _check_work(n, r)
+    for n, r in cells:
+        if n < 3:
+            raise UsageError("the verified site triple (1,2,3) needs n_sites >= 3")
+        _check_work(n, r)
+    _check_total(trials, cells)
     draw = _draw(mode)
 
-    def run():
+    def run(n: int, r: int):
         for k in range(trials):
-            instance = draw(n, r, trial_rng(seed, k))
-            ok, witness = _sign_check(instance)
-            if not ok and mode == "exact":
-                witness["weights"] = dump_weights(instance)
-            yield k, ok, witness
+            yield (k, *check(draw(n, r, trial_rng(seed, k))))
 
-    return run()
+    return [run(n, r) for n, r in cells]
+
+
+def _sign_trial(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
+    """``_sign_check`` whose failing exact witness carries its model file."""
+    ok, witness = _sign_check(instance)
+    if not ok and isinstance(instance, GhostWeightVector):
+        witness["weights"] = dump_weights(instance)
+    return ok, witness
+
+
+def _separation_trial(weights: GhostWeightVector) -> tuple[bool, dict]:
+    """The evaluated separated form against the direct curvature sum."""
+    lhs = evaluate_separated(separated_form(weights.n_sites), weights)
+    rhs = ghs_sum(weights)
+    return lhs == rhs, {
+        "instance": instance_digest(weights),
+        "weights": [rational_str(t) for t in weights.weights],
+        "separated": rational_str(lhs),
+        "direct": rational_str(rhs),
+    }
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -170,8 +189,7 @@ def _cmd_verify_ghs(args) -> tuple:
         return config, [_check(name, ok, witness)], {}
 
     trials = 100 if args.trials is None else args.trials
-    run = _trials(args.n_sites, args.r, mode, trials, seed)
-    _check_total(trials, [(args.n_sites, args.r)])
+    [run] = _trials([(args.n_sites, args.r)], mode, trials, seed, _sign_trial)
     checks = [_check(f"trial-{k:04d}", ok, witness) for k, ok, witness in run]
     config = {
         "model": None,
@@ -311,19 +329,25 @@ def _cmd_separation_check(args) -> tuple:
         for name in ("r", "trials", "seed"):
             if getattr(args, name) is not None:
                 raise UsageError(f"--{name} is not used by --mode exhaustive")
+        report = separation_check(args.n_sites)
+        passed = report.pop("passed")
     else:
         if args.r is None:
             raise UsageError("--mode random-eval needs --r")
         trials = 50 if trials is None else trials
-        if trials < 1:
-            raise UsageError("--trials must be >= 1")
-        _check_work(args.n_sites, args.r)
-        _check_total(trials, [(args.n_sites, args.r)])
         seed = 0 if seed is None else seed
-    report = separation_check(
-        args.n_sites, args.mode, trials=trials, seed=seed, n_states=args.r
-    )
-    passed = report.pop("passed")
+        cell = (args.n_sites, args.r)
+        [run] = _trials([cell], "exact", trials, seed, _separation_trial)
+        failures = [{"trial": k, **witness} for k, ok, witness in run if not ok]
+        passed = not failures
+        report = {
+            "mode": args.mode,
+            "n_sites": args.n_sites,
+            "n_states": args.r,
+            "trials": trials,
+            "seed": seed,
+            "failures": failures,
+        }
     checks = [_check(f"separation-{args.mode}", passed, report)]
     config = {
         "n_sites": args.n_sites,
@@ -390,16 +414,12 @@ def _cmd_alpha_table(args) -> tuple:
 def _cmd_sweep(args) -> tuple:
     n_values = _parse_int_list(args.n_sites_list)
     r_values = _parse_int_list(args.r_list)
+    cells = [(n, r) for n in n_values for r in r_values]
     # Every cell is validated here, before the first trial runs.
-    cells = [
-        (n, r, _trials(n, r, args.mode, args.trials, args.seed))
-        for n in n_values
-        for r in r_values
-    ]
-    _check_total(args.trials, [(n, r) for n, r, _ in cells])
+    runs = _trials(cells, args.mode, args.trials, args.seed, _sign_trial)
     checks = []
-    for n, r, trials in cells:
-        failures = [{"trial": k, **witness} for k, ok, witness in trials if not ok]
+    for (n, r), run in zip(cells, runs):
+        failures = [{"trial": k, **witness} for k, ok, witness in run if not ok]
         checks.append(
             _check(
                 f"cell-n{n}-r{r}",

@@ -98,8 +98,7 @@ class ModelSpec:
     fields: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.n_sites < 1:
-            raise ValueError("n_sites must be >= 1")
+        pair_order(self.n_sites)  # refuses n_sites < 1 or > MAX_SITES first
         if self.n_states < 2:
             raise ValueError("n_states must be >= 2")
         fields = tuple(self.fields) if self.fields else (0.0,) * self.n_sites

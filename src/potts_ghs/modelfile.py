@@ -145,7 +145,7 @@ def load_model(path: str | Path) -> GhostWeightVector | ModelSpec:
         coupling_map = {}
         for i, j, val in entries:
             coupling_map[(i, j)] = _parse_number(val)
-        field_vals = tuple(_parse_number(v) for v in fields) or (0.0,) * n_sites
+        field_vals = tuple(_parse_number(v) for v in fields)
         try:
             return ModelSpec(
                 n_sites=n_sites,

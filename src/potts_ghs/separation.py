@@ -23,9 +23,9 @@ curvature sum is not.  At larger sizes the evaluated form equals the
 direct curvature sum on seeded instances whose field pairs, and every bulk
 pair other than the ghost pairs (0, j) with j > 3, carry weight 1.  It
 fails once the bulk pairs close a cycle through the core or the ghost:
-(1,4) and (2,4), (0,4) and (1,4), or (0,4), (4,5) and (0,5).  The
-factorization is checked two ways: exhaustively at n_sites = 3 against the
-full symbolic expansion, and by exact evaluation on random instances
+(1,4) and (2,4), (0,4) and (1,4), or (0,4), (4,5) and (0,5).  This module
+checks the factorization exhaustively at n_sites = 3 against the full
+symbolic expansion; the CLI's seeded trials evaluate it on random instances
 against the direct curvature sum.
 """
 from __future__ import annotations
@@ -34,12 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .derivatives import ghs_sum
 from .expansion import _factor_product, expand_full
 from .laurent import LaurentPoly
-from .model import GhostWeightVector, instance_digest, pair_order
-from .modelfile import rational_str
-from .sampling import random_weights, trial_rng
+from .model import GhostWeightVector, pair_order
 from .xpoly import XPoly, xpoly_eval
 
 # Coefficients of the bulk factor (1 + X/r)**3 by power of X.
@@ -121,66 +118,22 @@ def evaluate_separated(form: SeparatedForm, weights: GhostWeightVector) -> Fract
     return total
 
 
-def separation_check(
-    n_sites: int,
-    mode: str,
-    trials: int = 50,
-    seed: int = 0,
-    n_states: int | None = None,
-) -> dict:
-    """Verify the factorization, exhaustively or on random instances.
-
-    Exhaustive mode (n_sites = 3 only) compares the assembled separated form
-    against the full symbolic expansion monomial by monomial.  Random-eval
-    mode draws seeded exact instances and compares the evaluated separated
-    form against the direct curvature sum.
-    """
-    if mode == "exhaustive":
-        if n_sites != 3:
-            raise ValueError("exhaustive mode is supported at n_sites=3 only")
-        form = separated_form(n_sites)
-        assembled = assemble_separated(form)
-        full = expand_full(n_sites)
-        mismatches = _poly_mismatches(assembled, full)
-        return {
-            "mode": mode,
-            "n_sites": n_sites,
-            "monomials_compared": max(len(assembled), len(full)),
-            "mismatch_count": len(mismatches),
-            "first_mismatch": mismatches[0] if mismatches else None,
-            "passed": not mismatches,
-        }
-    if mode == "random-eval":
-        if n_states is None or n_states < 2:
-            raise ValueError("random-eval mode needs n_states >= 2")
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        form = separated_form(n_sites)
-        failures = []
-        for k in range(trials):
-            weights = random_weights(n_sites, n_states, trial_rng(seed, k))
-            lhs = evaluate_separated(form, weights)
-            rhs = ghs_sum(weights)
-            if lhs != rhs:
-                failures.append(
-                    {
-                        "trial": k,
-                        "instance": instance_digest(weights),
-                        "weights": [rational_str(t) for t in weights.weights],
-                        "separated": rational_str(lhs),
-                        "direct": rational_str(rhs),
-                    }
-                )
-        return {
-            "mode": mode,
-            "n_sites": n_sites,
-            "n_states": n_states,
-            "trials": trials,
-            "seed": seed,
-            "failures": failures,
-            "passed": not failures,
-        }
-    raise ValueError(f"unknown mode {mode!r} (want 'exhaustive' or 'random-eval')")
+def separation_check(n_sites: int) -> dict:
+    """Compare the assembled separated form with the full symbolic
+    expansion monomial by monomial (n_sites = 3 only)."""
+    if n_sites != 3:
+        raise ValueError("exhaustive mode is supported at n_sites=3 only")
+    assembled = assemble_separated(separated_form(n_sites))
+    full = expand_full(n_sites)
+    mismatches = _poly_mismatches(assembled, full)
+    return {
+        "mode": "exhaustive",
+        "n_sites": n_sites,
+        "monomials_compared": max(len(assembled), len(full)),
+        "mismatch_count": len(mismatches),
+        "first_mismatch": mismatches[0] if mismatches else None,
+        "passed": not mismatches,
+    }
 
 
 def _poly_mismatches(lhs: XPoly, rhs: XPoly) -> list[dict]:

@@ -41,6 +41,7 @@ from potts_ghs import (
     trial_rng,
     xpoly_eval,
 )
+from potts_ghs import cli
 
 SEED = 0
 
@@ -161,7 +162,7 @@ def test_criterion_2_sign_dichotomy_of_table_entries():
 
 def test_criterion_3_factored_form_exhaustive():
     start = time.perf_counter()
-    report = separation_check(3, "exhaustive")
+    report = separation_check(3)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"exhaustive comparison took {elapsed:.1f}s (limit 60s)"
     assert report["monomials_compared"] == 3456
@@ -199,12 +200,18 @@ def test_criterion_3_factored_form_exhaustive():
     assert xpoly_eval(full, xs, 2) == ghs_I(3, 2, weights.weights) == -221184
 
 
-def test_criterion_4_factored_form_identity_testing():
+def test_criterion_4_factored_form_identity_testing(tmp_path):
     start = time.perf_counter()
-    reports = {
-        n: separation_check(n, "random-eval", trials=50, seed=SEED, n_states=3)
-        for n in (4, 5)
-    }
+    reports = {}
+    for n in (4, 5):
+        out = tmp_path / f"separation-{n}.json"
+        code = cli.main(
+            ["separation-check", "--n-sites", str(n), "--mode", "random-eval",
+             "--r", "3", "--trials", "50", "--seed", str(SEED), "--output", str(out)]
+        )
+        check = json.loads(out.read_text())["checks"][0]
+        assert code == 1
+        reports[n] = {"passed": check["status"] == "pass", **check["witness"]}
 
     # On the slice where the form is exact -- core pairs and ghost pairs
     # (0, j) with j > 3 as drawn, every other pair weight 1 -- the factored

@@ -613,6 +613,7 @@ def no_enumeration(monkeypatch):
 
     for name in (
         "ghs_sum",
+        "evaluate_separated",
         "second_derivative_analytic",
         "second_derivative_float",
         "second_derivative_fd",
@@ -653,17 +654,32 @@ def test_oversized_requests_exit_before_any_work(no_enumeration, capsys, argv):
     ids=["verify-ghs", "sweep", "separation-check"],
 )
 def test_a_run_past_the_total_work_bound_exits_before_any_work(
-    no_enumeration, monkeypatch, capsys, argv
+    no_enumeration, capsys, argv
 ):
     # Each instance is small; 10**8 trials of 2**4 configurations are not.
-    def forbidden(*args, **kwargs):
-        raise AssertionError("separation check started")
-
-    monkeypatch.setattr(no_enumeration, "separation_check", forbidden)
     start = time.perf_counter()
     assert no_enumeration.main(argv) == 3
     assert time.perf_counter() - start < 1.0
     assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-ghs", "--n-sites", "2", "--r", "1000"],
+        ["sweep", "--n-sites-list", "2", "--r-list", "1000"],
+        ["separation-check", "--n-sites", "2", "--mode", "random-eval", "--r", "1000"],
+    ],
+    ids=["verify-ghs", "sweep", "separation-check"],
+)
+def test_seeded_runs_refuse_a_size_below_the_triple_before_capacity(
+    no_enumeration, capsys, argv
+):
+    # 1000**3 configurations would exceed the bound, but a size without the
+    # site triple (1, 2, 3) is refused first, the same way by every seeded run.
+    assert no_enumeration.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: the verified site triple (1,2,3) needs n_sites >= 3\n"
 
 
 def test_the_total_work_bound_sums_the_cells_of_a_sweep(no_enumeration, capsys):
@@ -718,6 +734,24 @@ def test_oversized_site_counts_exit_before_the_pair_list(tmp_path, capsys, argv)
     assert code == 3
     assert peak < 10 * 2**20
     assert "capacity" in capsys.readouterr().err
+
+
+def test_a_physical_model_file_caps_its_site_count_before_it_allocates(tmp_path):
+    # Zero fields for 10**9 sites would be an 8 GB tuple.  The run gets its
+    # own process under a 1.5 GB address-space limit, so that a regression
+    # ends in a MemoryError rather than in that allocation.
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1500 * 2**20, 1500 * 2**20))
+
+    doc = {"n_sites": 10**9, "n_states": 2, "mode": "physical"}
+    model = write_exact_model(tmp_path, doc, "huge.json")
+    start = time.perf_counter()
+    result = run_cli("verify-ghs", "--model", model, preexec_fn=limit_memory)
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 3
+    assert "exceeds the supported 64 sites" in result.stderr
 
 
 def physical_model(tmp_path, coupling, field=0.0):

@@ -7,6 +7,7 @@ field deviation with the core.  These tests pin down both the exact shape of
 the disagreement and the restricted slices where the factored form is right.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from potts_ghs import (
     separation_check,
     xpoly_eval,
 )
+from potts_ghs import cli
 from potts_ghs.separation import BULK_COEFFS, FIELD_COEFFS, factor_poly
 
 FIELD_VARS = set(pair_order(3).field_indices)
@@ -133,7 +135,7 @@ def test_core_scales_by_extra_sites():
 
 
 def test_exhaustive_check_fails_with_frozen_counts():
-    report = separation_check(3, "exhaustive")
+    report = separation_check(3)
     assert report["passed"] is False
     assert report["monomials_compared"] == 3456
     assert report["mismatch_count"] == 3402
@@ -142,7 +144,7 @@ def test_exhaustive_check_fails_with_frozen_counts():
 
 
 def test_exhaustive_first_mismatch_is_frozen():
-    report = separation_check(3, "exhaustive")
+    report = separation_check(3)
     first = report["first_mismatch"]
     assert first["monomial"] == [[0, 1], [3, 1], [4, 1]]
     assert first["assembled"] == "r^9 - r^8 - 4*r^7 + 4*r^6"
@@ -170,9 +172,23 @@ def test_pure_core_slice_assembles_correctly():
 # random evaluation: factored values disagree with the direct sum
 
 
-def test_random_eval_fails_on_generic_instances():
-    report = separation_check(4, "random-eval", trials=5, seed=11, n_states=3)
-    assert report["passed"] is False
+def random_eval(tmp_path, n_sites, r, trials, seed):
+    """Run random-eval ``separation-check`` through the CLI; return whether
+    its one check passed and that check's witness."""
+    out = tmp_path / "report.json"
+    code = cli.main(
+        ["separation-check", "--n-sites", str(n_sites), "--mode", "random-eval",
+         "--r", str(r), "--trials", str(trials), "--seed", str(seed),
+         "--output", str(out)]
+    )
+    check = json.loads(out.read_text())["checks"][0]
+    assert code == (0 if check["status"] == "pass" else 1)
+    return check["status"] == "pass", check["witness"]
+
+
+def test_random_eval_fails_on_generic_instances(tmp_path):
+    passed, report = random_eval(tmp_path, 4, 3, trials=5, seed=11)
+    assert passed is False
     assert len(report["failures"]) == 5
     for record in report["failures"]:
         assert set(record) == {"trial", "instance", "weights", "separated", "direct"}
@@ -180,19 +196,19 @@ def test_random_eval_fails_on_generic_instances():
         assert len(record["weights"]) == len(pair_order(4))
 
 
-def test_random_eval_is_deterministic_per_seed():
-    a = separation_check(3, "random-eval", trials=4, seed=7, n_states=4)
-    b = separation_check(3, "random-eval", trials=4, seed=7, n_states=4)
+def test_random_eval_is_deterministic_per_seed(tmp_path):
+    a = random_eval(tmp_path, 3, 4, trials=4, seed=7)
+    b = random_eval(tmp_path, 3, 4, trials=4, seed=7)
     assert a == b
-    c = separation_check(3, "random-eval", trials=4, seed=8, n_states=4)
+    c = random_eval(tmp_path, 3, 4, trials=4, seed=8)
     assert c != a
 
 
-def test_factored_value_vanishes_at_two_states():
+def test_factored_value_vanishes_at_two_states(tmp_path):
     # Every core coefficient vanishes at r = 2, so the factored value is 0
     # there while the direct sum is strictly negative on generic instances.
-    report = separation_check(3, "random-eval", trials=5, seed=3, n_states=2)
-    assert report["passed"] is False
+    passed, report = random_eval(tmp_path, 3, 2, trials=5, seed=3)
+    assert passed is False
     for record in report["failures"]:
         assert record["separated"] == "0/1"
         assert Fraction(record["direct"]) < 0
@@ -292,21 +308,14 @@ def test_field_aggregation_breaks_with_a_core_row():
 
 def test_exhaustive_mode_is_three_sites_only():
     with pytest.raises(ValueError, match="n_sites=3"):
-        separation_check(4, "exhaustive")
+        separation_check(4)
 
 
-def test_random_eval_needs_states_and_trials():
-    with pytest.raises(ValueError, match="n_states"):
-        separation_check(3, "random-eval")
-    with pytest.raises(ValueError, match="n_states"):
-        separation_check(3, "random-eval", n_states=1)
-    with pytest.raises(ValueError, match="trials"):
-        separation_check(3, "random-eval", trials=0, n_states=3)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="unknown mode"):
-        separation_check(3, "spot-check")
+def test_unknown_mode_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["separation-check", "--n-sites", "3", "--mode", "spot-check"])
+    assert exc.value.code == 2
+    assert "spot-check" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_size_mismatch():
