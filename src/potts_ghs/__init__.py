@@ -36,9 +36,9 @@ from .derivatives import (
     second_derivative_float,
     second_derivative_via_sum,
 )
-from .expansion import CapacityError, expand_full, expand_partial
+from .expansion import expand_full, expand_partial
 from .laurent import LaurentPoly
-from .model import GhostWeightVector, ModelSpec, instance_digest, pair_order
+from .model import CapacityError, GhostWeightVector, ModelSpec, instance_digest, pair_order
 from .modelfile import ModelFileError, dump_weights, load_model, parse_rational, rational_str
 from .partitions import block_count
 from .sampling import random_model, random_weights, trial_rng

@@ -3,7 +3,10 @@
 Every subcommand assembles a deterministic report — tool identity, echoed
 configuration, one record per check, and a summary — with wall-clock timing
 isolated in its own subtree so reports from identical runs are byte-identical
-elsewhere.  Exit codes: 0 all checks pass, 1 at least one check failed,
+elsewhere.  The echoed configuration is the subcommand's parsed flags: each
+handler checks its flags, writes the defaults it resolves back onto them,
+and returns its checks and report extras; a flag the run did not use reads
+null.  Exit codes: 0 all checks pass, 1 at least one check failed,
 2 usage or model-file error, 3 capacity exceeded.
 """
 from __future__ import annotations
@@ -30,8 +33,9 @@ from .derivatives import (
     second_derivative_float,
     second_derivative_via_sum,
 )
-from .expansion import CapacityError, expand_full, expand_partial
+from .expansion import expand_full, expand_partial
 from .model import (
+    CapacityError,
     GhostWeightVector,
     ModelSpec,
     instance_digest,
@@ -107,9 +111,24 @@ def _sign_check(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
     return has_expected_sign(value, r, tol), witness
 
 
-def _load_model(args, replaced: tuple[str, ...]) -> tuple:
-    """The instance of --model and the pipeline it runs; the flags the file
-    replaces may not be passed, and --mode only to name that pipeline."""
+def _draw(mode: str):
+    """The seeded instance generator of a mode."""
+    return random_weights if mode == "exact" else random_model
+
+
+def _instance_source(args, replaced: tuple[str, ...]):
+    """The --model file's instance, or None for a seeded --n-sites/--r cell.
+
+    The flags the file replaces may not be passed, and --mode only to name
+    the file's pipeline.  Sets ``args.mode`` to the pipeline that runs, and
+    for a seeded cell ``args.seed`` to its default, since --model forbids it.
+    """
+    if not args.model:
+        if args.n_sites is None or args.r is None:
+            raise UsageError(f"{args.command} needs --model or both --n-sites and --r")
+        args.mode = args.mode or "exact"
+        args.seed = 0 if args.seed is None else args.seed
+        return None
     for name in replaced:
         if getattr(args, name) is not None:
             raise UsageError(f"--{name.replace('_', '-')} cannot be combined with --model")
@@ -118,23 +137,8 @@ def _load_model(args, replaced: tuple[str, ...]) -> tuple:
     mode = "exact" if isinstance(instance, GhostWeightVector) else "float"
     if args.mode not in (None, mode):
         raise UsageError(f"--mode {args.mode} does not match the {mode} model file")
-    return instance, mode
-
-
-def _draw(mode: str):
-    """The seeded instance generator of a mode."""
-    return random_weights if mode == "exact" else random_model
-
-
-def _instance_source(args, replaced: tuple[str, ...]) -> tuple:
-    """(instance, mode, seed) of a run: the --model file's instance with
-    seed None, or None for a seeded --n-sites/--r cell, whose mode and seed
-    are defaulted here because --model forbids them."""
-    if args.model:
-        return (*_load_model(args, replaced), None)
-    if args.n_sites is None or args.r is None:
-        raise UsageError(f"{args.command} needs --model or both --n-sites and --r")
-    return None, args.mode or "exact", 0 if args.seed is None else args.seed
+    args.mode = mode
+    return instance
 
 
 def _trials(cells, mode: str, trials: int, seed: int, check) -> list:
@@ -181,33 +185,24 @@ def _separation_trial(weights: GhostWeightVector) -> tuple[bool, dict]:
 
 
 def _cmd_verify_ghs(args) -> tuple:
-    instance, mode, seed = _instance_source(args, ("n_sites", "r", "trials", "seed"))
+    instance = _instance_source(args, ("n_sites", "r", "trials", "seed"))
     if instance is not None:
         ok, witness = _sign_check(instance)
-        name = "curvature-sign" if mode == "exact" else "curvature-sign-float"
-        config = {"model": args.model, "mode": mode, "trials": None, "seed": None}
-        return config, [_check(name, ok, witness)], {}
+        name = "curvature-sign" if args.mode == "exact" else "curvature-sign-float"
+        return [_check(name, ok, witness)], {}
 
-    trials = 100 if args.trials is None else args.trials
-    [run] = _trials([(args.n_sites, args.r)], mode, trials, seed, _sign_trial)
-    checks = [_check(f"trial-{k:04d}", ok, witness) for k, ok, witness in run]
-    config = {
-        "model": None,
-        "n_sites": args.n_sites,
-        "r": args.r,
-        "mode": mode,
-        "trials": trials,
-        "seed": seed,
-    }
-    return config, checks, {}
+    args.trials = 100 if args.trials is None else args.trials
+    cells = [(args.n_sites, args.r)]
+    [run] = _trials(cells, args.mode, args.trials, args.seed, _sign_trial)
+    return [_check(f"trial-{k:04d}", ok, witness) for k, ok, witness in run], {}
 
 
 def _cmd_derivative(args) -> tuple:
     i, j, k = args.i, args.j, args.k
-    instance, mode, seed = _instance_source(args, ("n_sites", "r", "seed"))
+    instance = _instance_source(args, ("n_sites", "r", "seed"))
     if instance is None:
         _check_work(args.n_sites, args.r)
-        instance = _draw(mode)(args.n_sites, args.r, trial_rng(seed, 0))
+        instance = _draw(args.mode)(args.n_sites, args.r, trial_rng(args.seed, 0))
 
     def result(method: str, value, digest=None, **extra) -> dict:
         return {
@@ -256,16 +251,7 @@ def _cmd_derivative(args) -> tuple:
             },
         )
     )
-    config = {
-        "model": args.model,
-        "n_sites": args.n_sites,
-        "r": args.r,
-        "mode": mode,
-        "seed": seed,
-        "site_triple": [i, j, k],
-        "h_step": args.h_step,
-    }
-    return config, checks, {"results": results}
+    return checks, {"results": results}
 
 
 def _cmd_expand(args) -> tuple:
@@ -315,16 +301,10 @@ def _cmd_expand(args) -> tuple:
             "n_monomials": len(poly),
             "monomials": xpoly_records(poly, len(order)),
         }
-    config = {
-        "n_sites": args.n_sites,
-        "model": args.model,
-        "window": args.window,
-    }
-    return config, checks, extras
+    return checks, extras
 
 
 def _cmd_separation_check(args) -> tuple:
-    trials, seed = args.trials, args.seed
     if args.mode == "exhaustive":
         for name in ("r", "trials", "seed"):
             if getattr(args, name) is not None:
@@ -334,33 +314,25 @@ def _cmd_separation_check(args) -> tuple:
     else:
         if args.r is None:
             raise UsageError("--mode random-eval needs --r")
-        trials = 50 if trials is None else trials
-        seed = 0 if seed is None else seed
+        args.trials = 50 if args.trials is None else args.trials
+        args.seed = 0 if args.seed is None else args.seed
         cell = (args.n_sites, args.r)
-        [run] = _trials([cell], "exact", trials, seed, _separation_trial)
+        [run] = _trials([cell], "exact", args.trials, args.seed, _separation_trial)
         failures = [{"trial": k, **witness} for k, ok, witness in run if not ok]
         passed = not failures
         report = {
             "mode": args.mode,
             "n_sites": args.n_sites,
             "n_states": args.r,
-            "trials": trials,
-            "seed": seed,
+            "trials": args.trials,
+            "seed": args.seed,
             "failures": failures,
         }
-    checks = [_check(f"separation-{args.mode}", passed, report)]
-    config = {
-        "n_sites": args.n_sites,
-        "mode": args.mode,
-        "r": args.r,
-        "trials": trials,
-        "seed": seed,
-    }
-    return config, checks, {}
+    return [_check(f"separation-{args.mode}", passed, report)], {}
 
 
 def _cmd_alpha_table(args) -> tuple:
-    r_values = _parse_int_list(args.r_values)
+    r_values = args.r_values = _parse_int_list(args.r_values)
     table = alpha_table(args.n_sites)
     signs = sign_report(table, r_values)
     checks = []
@@ -403,18 +375,13 @@ def _cmd_alpha_table(args) -> tuple:
             )
         )
         extras["reference_comparison"] = comparison
-    config = {
-        "n_sites": args.n_sites,
-        "r_values": list(r_values),
-        "compare_paper": bool(args.compare_paper),
-    }
-    return config, checks, extras
+    return checks, extras
 
 
 def _cmd_sweep(args) -> tuple:
-    n_values = _parse_int_list(args.n_sites_list)
-    r_values = _parse_int_list(args.r_list)
-    cells = [(n, r) for n in n_values for r in r_values]
+    args.n_sites_list = _parse_int_list(args.n_sites_list)
+    args.r_list = _parse_int_list(args.r_list)
+    cells = [(n, r) for n in args.n_sites_list for r in args.r_list]
     # Every cell is validated here, before the first trial runs.
     runs = _trials(cells, args.mode, args.trials, args.seed, _sign_trial)
     checks = []
@@ -431,14 +398,7 @@ def _cmd_sweep(args) -> tuple:
                 },
             )
         )
-    config = {
-        "n_sites_list": list(n_values),
-        "r_list": list(r_values),
-        "mode": args.mode,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return config, checks, {}
+    return checks, {}
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -557,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        config, checks, extras = args.func(args)
+        checks, extras = args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -565,6 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     seconds = time.perf_counter() - start
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
     report = build_report(args.command, config, checks, extras, seconds)
 
     if args.command == "alpha-table" and not args.output:

@@ -24,7 +24,9 @@ analytic routes but not the combiner.  It computes in the standard
 library's ``decimal`` at 42 digits; a coupling above about 2.3e18
 overflows it and raises CapacityError (CLI exit 3).  On a physical model
 the float route and the oracle read the pair energies J from one map,
-``_energies``, and each takes e**J in its own ring.
+``_energies``, and each takes e**J in its own ring.  When every e**J is a
+finite double but the partition sum overflows, the float route sums the
+same doubles exactly and rounds the answer once.
 """
 from __future__ import annotations
 
@@ -34,8 +36,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .constraints import _check_sites, _curvature_sum, _pinned_sums, ghs_combination
-from .expansion import CapacityError
-from .model import GhostWeightVector, ModelSpec, pair_order
+from .model import CapacityError, GhostWeightVector, ModelSpec, pair_order
 
 FD_PRECISION_DPS = 40
 
@@ -72,12 +73,19 @@ def second_derivative_analytic(
 def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
     """The analytic second derivative in double precision, from a physical
     model (weights e**J); used for float-domain spot checks.  Raises
-    CapacityError when a weight or the partition sum overflows."""
+    CapacityError when a weight e**J overflows.  When only the partition
+    sum overflows, the same double weights are summed as Fractions and the
+    exact value is rounded to a float."""
     try:
         tw = [math.exp(energy) for energy in _energies(model)]
     except OverflowError as exc:
         raise CapacityError("a pair weight e**J overflows double precision") from exc
-    return _truncated_triple(tw, model.n_sites, model.n_states, i, j, k, 1.0)
+    size = (model.n_sites, model.n_states)
+    try:
+        return _truncated_triple(tw, *size, i, j, k, 1.0)
+    except CapacityError:
+        exact = [Fraction(t) for t in tw]
+        return float(_truncated_triple(exact, *size, i, j, k, Fraction(1)))
 
 
 def second_derivative_fd(

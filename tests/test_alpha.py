@@ -8,6 +8,7 @@ comparison report flags them as possible errata rather than adopting them.
 """
 
 import importlib
+import re
 import sys
 
 import pytest
@@ -171,6 +172,33 @@ def test_reference_forms_cover_all_triples_once():
     assert len(REFERENCE_FORMS) == 18
     assert len(covered) == 64
     assert sorted(covered) == sorted(all_triples())
+
+
+def parse_reference_source(source: str, n_sites: int) -> LaurentPoly:
+    """The polynomial of a printed form ``c*r^(3n-k)*(inner)`` at n_sites."""
+    if source == "0":
+        return LaurentPoly()
+    match = re.fullmatch(r"(?:(\d+)\*)?r\^\(3n-(\d+)\)\*\((.+)\)", source)
+    assert match, source
+    scale, lowered, inner = match.groups()
+    coeffs = {}
+    for term in re.findall(r"[+-]?[^+-]+", inner):
+        parts = re.fullmatch(r"([+-]?)(\d*)(r(?:\^(\d+))?)?", term)
+        assert parts and (parts[2] or parts[3]), term
+        exp = (int(parts[4]) if parts[4] else 1) if parts[3] else 0
+        assert exp not in coeffs, source
+        coeffs[exp] = (-1 if parts[1] == "-" else 1) * int(parts[2] or 1)
+    shift = 3 * n_sites - int(lowered)
+    return LaurentPoly({e + shift: int(scale or 1) * c for e, c in coeffs.items()})
+
+
+@pytest.mark.parametrize("n_sites", [3, 4])
+def test_reference_sources_print_the_polynomials_they_are_compared_with(n_sites):
+    for form in REFERENCE_FORMS:
+        assert parse_reference_source(form.source, n_sites) == form.poly(n_sites), form.source
+    zero_forms = [form for form in REFERENCE_FORMS if form.source == "0"]
+    assert len(zero_forms) == 4
+    assert all(form.inner == () for form in zero_forms)
 
 
 def test_comparison_verdicts_are_frozen():

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface via subprocess."""
 
+import argparse
 import json
+import math
 import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
+
+from brute_force import ghs_I, pinned_sum
 
 MODULE = [sys.executable, "-m", "potts_ghs"]
 
@@ -776,12 +780,19 @@ def test_physical_model_with_nan_coupling_is_rejected(tmp_path):
     assert not out.exists()
 
 
-def test_float_overflow_of_the_sum_is_a_capacity_error(tmp_path):
-    # e**200 is a finite double, but products of six such weights are not.
+def test_float_overflow_of_the_sum_falls_back_to_exact_sums(tmp_path):
+    # e**200 is a finite double, but products of six such weights are not;
+    # the float route sums the same doubles exactly instead of exiting 3.
     model = physical_model(tmp_path, 200.0, 200.0)
-    result = run_cli("verify-ghs", "--model", model)
-    assert result.returncode == 3
-    assert "capacity" in result.stderr
+    tw = [math.exp(200.0)] * 6
+    expected = float(ghs_I(3, 3, tw) / (3**3 * pinned_sum(3, 3, tw) ** 3))
+    code, report = run_main(tmp_path, ["verify-ghs", "--model", model])
+    assert code == 0
+    assert report["checks"][0]["witness"]["value"] == expected
+    argv = ["derivative", "--model", model, "--i", "1", "--j", "2", "--k", "3"]
+    code, report = run_main(tmp_path, argv)
+    assert code == 0
+    assert report["results"][0]["value"] == expected
 
 
 @pytest.mark.parametrize(
@@ -918,7 +929,9 @@ def test_model_configs_report_the_pipeline_that_ran(tmp_path):
     # The benchmark's argv shapes, including its --mode exact on exact files.
     code, report = run_main(tmp_path, ["verify-ghs", "--model", exact])
     assert code == 0
-    assert report["config"] == {"model": exact, "mode": "exact", "trials": None, "seed": None}
+    assert report["config"] == {
+        "model": exact, "n_sites": None, "r": None, "mode": "exact", "trials": None, "seed": None,
+    }
     code, report = run_main(tmp_path, ["derivative", "--model", exact, "--mode", "exact"] + triple)
     assert code == 0
     assert report["config"]["mode"] == "exact"
@@ -933,9 +946,48 @@ def test_model_configs_report_the_pipeline_that_ran(tmp_path):
         "r": None,
         "mode": "float",
         "seed": None,
-        "site_triple": [1, 2, 3],
+        "i": 1,
+        "j": 2,
+        "k": 3,
         "h_step": 1e-4,
     }
+    assert all(r["site_triple"] == [1, 2, 3] for r in report["results"])
+
+
+def subcommand_flags(command):
+    """The destinations of a subcommand's flags, read from the parser."""
+    from potts_ghs import cli
+
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["verify-ghs", "--model", None], {"n_sites", "r", "trials", "seed"}),
+        (["verify-ghs", "--n-sites", "3", "--r", "2", "--trials", "2"], {"model"}),
+        (
+            ["derivative", "--n-sites", "3", "--r", "2", "--i", "1", "--j", "2", "--k", "3"],
+            {"model"},
+        ),
+        (["expand", "--n-sites", "3"], {"model", "window"}),
+        (["separation-check", "--n-sites", "3", "--mode", "exhaustive"], {"r", "trials", "seed"}),
+        (["alpha-table", "--n-sites", "3", "--r-values", "2,3"], set()),
+        (["sweep", "--n-sites-list", "3", "--r-list", "2", "--trials", "2"], set()),
+    ],
+    ids=[
+        "verify-ghs-model", "verify-ghs-seeded", "derivative", "expand",
+        "separation-check", "alpha-table", "sweep",
+    ],
+)
+def test_a_config_echoes_every_flag_of_its_subcommand(tmp_path, argv, unused):
+    argv = [write_exact_model(tmp_path, UNIFORM_2_MODEL) if a is None else a for a in argv]
+    code, report = run_main(tmp_path, argv)
+    assert code in (0, 1)
+    config = report["config"]
+    assert set(config) == subcommand_flags(argv[0]) - {"output"}
+    assert {name for name, value in config.items() if value is None} == unused
 
 
 @pytest.mark.parametrize("command", ["verify-ghs", "derivative"])

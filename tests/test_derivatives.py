@@ -434,10 +434,18 @@ def test_fd_rejects_non_finite_step(h):
 
 def test_float_derivative_overflow_is_a_capacity_error():
     pairs = [(1, 2), (1, 3), (2, 3)]
-    # e**800 overflows a double; e**200 does not, but the partition sum does.
+    # e**800 overflows a double.
     model = ModelSpec(3, 3, {pair: 800.0 for pair in pairs})
     with pytest.raises(CapacityError, match="pair weight"):
         second_derivative_float(model, 1, 2, 3)
+
+
+def test_float_derivative_sums_an_overflowing_partition_sum_exactly():
+    # e**200 is a finite double, but the partition sum overflows; the same
+    # doubles summed as Fractions give the finite, correctly rounded value.
+    pairs = [(1, 2), (1, 3), (2, 3)]
     model = ModelSpec(3, 3, {pair: 200.0 for pair in pairs}, (200.0,) * 3)
-    with pytest.raises(CapacityError, match="partition sum"):
-        second_derivative_float(model, 1, 2, 3)
+    tw = [math.exp(200.0)] * 6
+    expected = ghs_I(3, 3, tw) / (3**3 * pinned_sum(3, 3, tw) ** 3)
+    assert expected != 0
+    assert second_derivative_float(model, 1, 2, 3) == float(expected)
