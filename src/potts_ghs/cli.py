@@ -7,7 +7,8 @@ elsewhere.  The echoed configuration is the subcommand's parsed flags: each
 handler checks its flags, writes the defaults it resolves back onto them,
 and returns its checks and report extras; a flag the run did not use reads
 null.  Exit codes: 0 all checks pass, 1 at least one check failed,
-2 usage or model-file error, 3 capacity exceeded.
+2 usage or model-file error, 3 capacity exceeded, 4 internal error (any
+other exception, reported in one line without a traceback).
 """
 from __future__ import annotations
 
@@ -27,11 +28,12 @@ from .alpha import (
     table_export,
 )
 from .derivatives import (
+    _curvature_quotient,
+    _exact_sums,
+    _truncated_triple,
     ghs_sum,
-    second_derivative_analytic,
     second_derivative_fd,
     second_derivative_float,
-    second_derivative_via_sum,
 )
 from .expansion import expand_full, expand_partial
 from .model import (
@@ -50,6 +52,7 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_INTERNAL = 4
 
 FLOAT_SIGN_TOL = 1e-12
 # Largest r**(n_sites + 1) enumerated per instance; larger requests exit
@@ -218,11 +221,13 @@ def _cmd_derivative(args) -> tuple:
     fd = second_derivative_fd(instance, i, j, k, h=args.h_step)
     checks = []
     if isinstance(instance, GhostWeightVector):
-        exact = second_derivative_analytic(instance, i, j, k)
+        # One Fraction pass: both exact records combine its eight sums.
+        sums = _exact_sums(instance, i, j, k)
+        exact = _truncated_triple(sums)
         digest = instance_digest(instance)
         results = [result("analytic", rational_str(exact), digest)]
         if len({i, j, k}) == 3:
-            via = second_derivative_via_sum(instance, i, j, k)
+            via = _curvature_quotient(sums)
             results.append(result("via-curvature-sum", rational_str(via), digest))
             checks.append(
                 _check(
@@ -524,6 +529,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
     seconds = time.perf_counter() - start
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
     report = build_report(args.command, config, checks, extras, seconds)

@@ -15,7 +15,12 @@ combine them with the staged ``constraints.ghs_combination``; their
 independent check is the stdlib enumerator ``tests/brute_force.py``.
 ``second_derivative_via_sum`` takes the curvature sum of any distinct
 triple from that triple's own pass and divides it by r**3 Z**3, with Z the
-``()`` sum of the same pass.
+``()`` sum of the same pass.  Each exact route is a pass step,
+``_exact_sums``, and a combine step, ``_truncated_triple`` for the analytic
+value and ``_curvature_quotient`` for the curvature-sum route, so an exact
+``derivative`` job makes two passes: the oracle's ``Decimal`` pass and one
+``Fraction`` pass whose eight sums both combiners read, the via record
+dividing that pass's combination by Z**3.
 A high-precision finite-difference oracle backs the analytic values
 numerically, on a physical model or on the exact weights themselves.  It
 takes the same ``_pinned_sums`` pass at the unshifted weights and evaluates
@@ -50,9 +55,9 @@ def _energies(model: ModelSpec) -> list[float]:
     ]
 
 
-def _truncated_triple(weight_seq, n_sites: int, n_states: int, i, j, k, one):
-    """The five-term truncated triple correlation in the ring of ``one``."""
-    sums = _pinned_sums(weight_seq, n_sites, n_states, (i, j, k), one)
+def _truncated_triple(sums):
+    """The five-term truncated triple correlation from a triple's eight
+    pinned sums, in their ring: the combiner over Z_S / Z."""
     z = sums[0]
     # z bounds every other sum, so a finite z keeps each ratio in [0, 1];
     # z * 0 == 0 fails only when a float z has overflowed to inf or NaN.
@@ -61,13 +66,25 @@ def _truncated_triple(weight_seq, n_sites: int, n_states: int, i, j, k, one):
     return ghs_combination([zs / z for zs in sums])
 
 
+def _curvature_quotient(sums) -> Fraction:
+    """The curvature sum of a triple from its eight pinned sums, divided
+    back by r**3 Z**3: the combination over Z**3, where the r**3 cancels."""
+    return ghs_combination(sums) / sums[0] ** 3
+
+
+def _exact_sums(weights: GhostWeightVector, i: int, j: int, k: int) -> list:
+    """The eight pinned sums of the triple (i, j, k) over Fraction: the one
+    pass both exact routes combine."""
+    return _pinned_sums(
+        weights.weights, weights.n_sites, weights.n_states, (i, j, k), Fraction(1)
+    )
+
+
 def second_derivative_analytic(
     weights: GhostWeightVector, i: int, j: int, k: int
 ) -> Fraction:
     """d^2 m_i / (d B_j d B_k), exactly, via truncated triple correlations."""
-    return _truncated_triple(
-        weights.weights, weights.n_sites, weights.n_states, i, j, k, Fraction(1)
-    )
+    return _truncated_triple(_exact_sums(weights, i, j, k))
 
 
 def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
@@ -82,10 +99,10 @@ def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
         raise CapacityError("a pair weight e**J overflows double precision") from exc
     size = (model.n_sites, model.n_states)
     try:
-        return _truncated_triple(tw, *size, i, j, k, 1.0)
+        return _truncated_triple(_pinned_sums(tw, *size, (i, j, k), 1.0))
     except CapacityError:
-        exact = [Fraction(t) for t in tw]
-        return float(_truncated_triple(exact, *size, i, j, k, Fraction(1)))
+        exact = _pinned_sums([Fraction(t) for t in tw], *size, (i, j, k), Fraction(1))
+        return float(_truncated_triple(exact))
 
 
 def second_derivative_fd(
@@ -172,7 +189,4 @@ def second_derivative_via_sum(
     _check_sites(weights.n_sites, i, j, k)
     if len({i, j, k}) != 3:
         raise ValueError("the curvature-sum route needs three distinct sites")
-    sums = _pinned_sums(
-        weights.weights, weights.n_sites, weights.n_states, (i, j, k), Fraction(1)
-    )
-    return ghs_combination(sums) / sums[0] ** 3
+    return _curvature_quotient(_exact_sums(weights, i, j, k))

@@ -50,18 +50,26 @@ def _factor_product(n_sites: int, window: dict[int, tuple[int, int]]) -> XPoly:
     return ghs_combination(factor_polys)
 
 
+def _check_three_sites(n_sites: int) -> None:
+    """The size rule of the full expansion: fewer than three sites raise
+    ValueError, as the curvature sum does, and more sites CapacityError."""
+    if n_sites < 3:
+        raise ValueError("the curvature sum needs n_sites >= 3")
+    if n_sites > 3:
+        raise CapacityError(
+            f"full expansion is supported at n_sites=3 only (got {n_sites})"
+        )
+
+
 @lru_cache(maxsize=None)
 def expand_full(n_sites: int) -> XPoly:
     """Full symbolic expansion over all pairs, with LaurentPoly coefficients.
 
-    Only n_sites = 3 is supported: the coefficient table is dense in 2**C
-    subsets per factor and the exact aggregation is meant for the desk-scale
-    window.  Larger sites raise CapacityError.
+    Only n_sites = 3 is supported (``_check_three_sites``): the coefficient
+    table is dense in 2**C subsets per factor and the exact aggregation is
+    meant for the desk-scale window.
     """
-    if n_sites != 3:
-        raise CapacityError(
-            f"full expansion is supported at n_sites=3 only (got {n_sites})"
-        )
+    _check_three_sites(n_sites)
     return _factor_product(n_sites, dict(enumerate(pair_order(n_sites).pairs)))
 
 

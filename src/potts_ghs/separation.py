@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .expansion import _factor_product, expand_full
+from .expansion import _check_three_sites, _factor_product, expand_full
 from .laurent import LaurentPoly
 from .model import GhostWeightVector, pair_order
 from .xpoly import XPoly, xpoly_eval
@@ -120,9 +120,9 @@ def evaluate_separated(form: SeparatedForm, weights: GhostWeightVector) -> Fract
 
 def separation_check(n_sites: int) -> dict:
     """Compare the assembled separated form with the full symbolic
-    expansion monomial by monomial (n_sites = 3 only)."""
-    if n_sites != 3:
-        raise ValueError("exhaustive mode is supported at n_sites=3 only")
+    expansion monomial by monomial (n_sites = 3 only, by the size rule of
+    ``expand_full``, checked before any work)."""
+    _check_three_sites(n_sites)
     assembled = assemble_separated(separated_form(n_sites))
     full = expand_full(n_sites)
     mismatches = _poly_mismatches(assembled, full)

@@ -386,7 +386,23 @@ def test_separation_exhaustive_fails_honestly(tmp_path):
 
 def test_separation_exhaustive_wrong_size():
     result = run_cli("separation-check", "--n-sites", "4", "--mode", "exhaustive")
-    assert result.returncode == 2
+    assert result.returncode == 3
+    assert "capacity" in result.stderr
+
+
+@pytest.mark.parametrize("n_sites, code", [(2, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "argv",
+    [["expand"], ["separation-check", "--mode", "exhaustive"]],
+    ids=["expand", "separation-exhaustive"],
+)
+def test_the_three_site_symbolic_routes_share_exit_codes(capsys, argv, n_sites, code):
+    # Fewer than three sites is a usage error, more is past capacity.
+    from potts_ghs import cli
+
+    assert cli.main(argv + ["--n-sites", str(n_sites)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:" if code == 2 else "capacity error:")
 
 
 def test_separation_random_eval(tmp_path):
@@ -618,12 +634,25 @@ def no_enumeration(monkeypatch):
     for name in (
         "ghs_sum",
         "evaluate_separated",
-        "second_derivative_analytic",
+        "_exact_sums",
         "second_derivative_float",
         "second_derivative_fd",
     ):
         monkeypatch.setattr(cli, name, forbidden)
     return cli
+
+
+def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    from potts_ghs import cli
+
+    def broken(args):
+        raise RuntimeError("handler broke\non two lines")
+
+    monkeypatch.setattr(cli, "_cmd_verify_ghs", broken)
+    assert cli.main(["verify-ghs", "--n-sites", "3", "--r", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: handler broke on two lines\n"
+    assert captured.out == ""
 
 
 def test_sweep_checks_every_cell_before_the_first_runs(no_enumeration):
@@ -844,11 +873,7 @@ def test_derivative_refuses_a_bad_step_before_the_exact_routes(monkeypatch, caps
     def forbidden(*args, **kwargs):
         raise AssertionError("an exact route ran before the step was checked")
 
-    for name in (
-        "second_derivative_analytic",
-        "second_derivative_via_sum",
-        "second_derivative_float",
-    ):
+    for name in ("_exact_sums", "second_derivative_float"):
         monkeypatch.setattr(cli, name, forbidden)
     argv = ["derivative", "--n-sites", "4", "--r", "3", "--mode", mode, "--seed", "4"]
     argv += ["--i", "1", "--j", "2", "--k", "3", "--h-step", "700"]

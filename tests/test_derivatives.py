@@ -194,15 +194,38 @@ def test_each_derivative_route_makes_one_pass(count_passes, route):
     assert len(count_passes) == 2
 
 
-def test_an_exact_derivative_job_makes_three_passes(count_passes, tmp_path):
-    # finite difference, analytic and curvature-sum route: one pass each.
+def test_an_exact_derivative_job_makes_two_passes(count_passes, tmp_path):
+    # The finite difference's Decimal pass, and one Fraction pass whose sums
+    # both the analytic and the curvature-sum record combine.
     w = random_weights(4, 3, trial_rng("passes", 1))
     path = tmp_path / "model.json"
     path.write_text(json.dumps(dump_weights(w)))
-    argv = ["derivative", "--model", str(path), "--mode", "exact"]
-    argv += ["--i", "1", "--j", "2", "--k", "3", "--output", str(tmp_path / "out.json")]
+    out = tmp_path / "out.json"
+    for triple in ((1, 2, 3), (3, 1, 4), (2, 2, 4)):
+        count_passes.clear()
+        argv = ["derivative", "--model", str(path), "--mode", "exact"]
+        for flag, site in zip(("--i", "--j", "--k"), triple):
+            argv += [flag, str(site)]
+        assert cli.main(argv + ["--output", str(out)]) == 0
+        assert sorted(type(args[4]).__name__ for args in count_passes) == [
+            "Decimal",
+            "Fraction",
+        ]
+        # Each pass pins the job's own triple: its second set is {i, j, k}.
+        assert all(set(args[3][1]) == set(triple) for args in count_passes)
+        methods = [r["method"] for r in json.loads(out.read_text())["results"]]
+        via = ["via-curvature-sum"] if len(set(triple)) == 3 else []
+        assert methods == ["analytic", *via, "finite-difference"]
+
+
+def test_a_float_derivative_job_makes_two_passes(count_passes):
+    argv = ["derivative", "--n-sites", "4", "--r", "3", "--mode", "float"]
+    argv += ["--seed", "4", "--i", "3", "--j", "1", "--k", "4"]
     assert cli.main(argv) == 0
-    assert len(count_passes) == 3
+    assert sorted(type(args[4]).__name__ for args in count_passes) == [
+        "Decimal",
+        "float",
+    ]
 
 
 def test_via_sum_needs_distinct_sites():
@@ -359,11 +382,14 @@ def test_fd_oracle_does_not_go_through_the_five_term_combiner(monkeypatch, tmp_p
 
     assert agreement() == (0, "pass")
     original = derivatives._truncated_triple
-    monkeypatch.setattr(
-        derivatives,
-        "_truncated_triple",
-        lambda *args: original(*args) + Fraction(1, 1000),
-    )
+    # The CLI combines an exact job's shared pass itself, so plant the offset
+    # wherever the combiner is bound.
+    for module in (derivatives, cli):
+        monkeypatch.setattr(
+            module,
+            "_truncated_triple",
+            lambda *args: original(*args) + Fraction(1, 1000),
+        )
     assert agreement() == (1, "fail")
 
 

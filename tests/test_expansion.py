@@ -49,8 +49,15 @@ def test_full_expansion_monomial_count():
     assert len(expand_full(3)) == 1458
 
 
-def test_full_expansion_rejects_other_sizes():
-    for n in (2, 4, 5):
+def test_full_expansion_rejects_fewer_than_three_sites():
+    # A size without the triple is a usage error, as for the curvature sum.
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="n_sites >= 3"):
+            expand_full(n)
+
+
+def test_full_expansion_rejects_more_than_three_sites():
+    for n in (4, 5):
         with pytest.raises(CapacityError):
             expand_full(n)
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from potts_ghs import (
+    CapacityError,
     GhostWeightVector,
     LaurentPoly,
     XPoly,
@@ -307,8 +308,10 @@ def test_field_aggregation_breaks_with_a_core_row():
 
 
 def test_exhaustive_mode_is_three_sites_only():
-    with pytest.raises(ValueError, match="n_sites=3"):
+    with pytest.raises(CapacityError, match="n_sites=3"):
         separation_check(4)
+    with pytest.raises(ValueError, match="n_sites >= 3"):
+        separation_check(2)
 
 
 def test_unknown_mode_rejected(capsys):
