@@ -11,8 +11,9 @@ decide the curvature sign on the zero-field slice at n_sites = 3 only; at
 positive fields and r >= 3 the curvature sum can be negative (all six
 weights 2 at r = 3 give -1620864).
 
-The module also carries the reference closed forms for the 18 entry classes
-as they appear in the source table this engine verifies, and an exact
+The module also carries the reference closed forms for the 18 entry classes,
+each stated once as the text the source table this engine verifies prints
+(read into a polynomial by ``ReferenceForm.poly``), and an exact
 comparison of the computed entries against them.  Mismatches are reported
 as possible errata in the reference, never silently adopted.  The
 comparison also rebuilds every entry by the source's own construction, the
@@ -22,6 +23,7 @@ its three columns, subsets of the core pairs (1, 2), (1, 3), (2, 3).
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, product
@@ -123,22 +125,34 @@ def sign_report(table: AlphaTable, r_values: tuple[int, ...] | list[int]) -> dic
 
 # ---------------------------------------------------------------------------
 # Reference closed forms: the 18 entry classes of the source table.  Each
-# line carries the triples the source groups together, the exponent of the
-# prefactor r**(3n + shift), the inner polynomial, and the form as printed.
+# line carries the triples the source groups together and the form as the
+# source prints it, which is the only statement of its polynomial.
 # ---------------------------------------------------------------------------
+
+_FORM = re.compile(r"(?:(\d+)\*)?r\^\(3n-(\d+)\)\*\((.+)\)")
+_TERM = re.compile(r"([+-]?)(\d*)(?:(r)(?:\^(\d+))?)?")
 
 
 @dataclass(frozen=True)
 class ReferenceForm:
     representative: tuple[int, int, int]
     triples: tuple[tuple[int, int, int], ...]
-    shift: int  # prefactor exponent is 3*n_sites + shift
-    inner: tuple[tuple[int, int], ...]  # (exponent, coefficient) of the inner poly
     source: str
 
     def poly(self, n_sites: int) -> LaurentPoly:
-        inner = LaurentPoly(dict(self.inner))
-        return inner.shift(3 * n_sites + self.shift)
+        """The printed form at n_sites: ``"0"``, or ``c*r^(3n-k)*(inner)``
+        with an optional scale c and inner terms such as ``-3r`` or ``2r^4``."""
+        if self.source == "0":
+            return LaurentPoly()
+        scale, lowered, inner = _FORM.fullmatch(self.source).groups()
+        shift = 3 * n_sites - int(lowered)
+        coeffs = {}
+        # findall also yields the empty match at the end of ``inner``.
+        for sign, digits, r, exp in _TERM.findall(inner):
+            if digits or r:
+                power = int(exp or 1) if r else 0
+                coeffs[shift + power] = int(scale or 1) * int(sign + (digits or "1"))
+        return LaurentPoly(coeffs)
 
 
 def _perms(*triples: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
@@ -151,108 +165,24 @@ def _perms(*triples: tuple[int, int, int]) -> tuple[tuple[int, int, int], ...]:
 
 
 REFERENCE_FORMS: tuple[ReferenceForm, ...] = (
-    ReferenceForm(
-        (3, 3, 3),
-        ((3, 3, 3),) + _perms((3, 3, 0)),
-        -6,
-        ((2, 1), (1, -3), (0, 2)),
-        "r^(3n-6)*(r^2-3r+2)",
-    ),
-    ReferenceForm(
-        (3, 3, 2),
-        _perms((3, 3, 2), (3, 3, 1)),
-        -6,
-        ((2, 3), (1, -9), (0, 6)),
-        "3*r^(3n-6)*(r^2-3r+2)",
-    ),
-    ReferenceForm(
-        (3, 2, 2),
-        _perms((3, 2, 2)),
-        -6,
-        ((3, 2), (1, -15), (0, 12)),
-        "r^(3n-6)*(2r^3-15r+12)",
-    ),
-    ReferenceForm(
-        (3, 2, 1),
-        _perms((3, 2, 1)),
-        -6,
-        ((3, 4), (2, -9), (1, -3), (0, 6)),
-        "r^(3n-6)*(4r^3-9r^2-3r+6)",
-    ),
-    ReferenceForm(
-        (3, 2, 0),
-        _perms((3, 2, 0)),
-        -5,
-        ((2, 2), (1, -6), (0, 3)),
-        "r^(3n-5)*(2r^2-6r+3)",
-    ),
-    ReferenceForm(
-        (3, 1, 1),
-        _perms((3, 1, 1)),
-        -5,
-        ((3, 1), (2, 1), (1, -10), (0, 6)),
-        "r^(3n-5)*(r^3+r^2-10r+6)",
-    ),
-    ReferenceForm(
-        (3, 1, 0),
-        _perms((3, 1, 0)),
-        -4,
-        ((2, 1), (1, -3), (0, 2)),
-        "r^(3n-4)*(r^2-3r+2)",
-    ),
-    ReferenceForm((3, 0, 0), _perms((3, 0, 0)), 0, (), "0"),
-    ReferenceForm(
-        (2, 2, 2),
-        ((2, 2, 2),),
-        -6,
-        ((4, 2), (3, 6), (2, -28), (1, 8), (0, 12)),
-        "r^(3n-6)*(2r^4+6r^3-28r^2+8r+12)",
-    ),
-    ReferenceForm(
-        (2, 2, 1),
-        _perms((2, 2, 1)),
-        -5,
-        ((3, 5), (2, -7), (1, -22), (0, 24)),
-        "r^(3n-5)*(5r^3-7r^2-22r+24)",
-    ),
-    ReferenceForm(
-        (2, 2, 0),
-        _perms((2, 2, 0)),
-        -5,
-        ((3, 4), (2, -12), (1, 6), (0, 2)),
-        "r^(3n-5)*(4r^3-12r^2+6r+2)",
-    ),
-    ReferenceForm(
-        (2, 1, 1),
-        _perms((2, 1, 1)),
-        -5,
-        ((4, 2), (3, 3), (2, -23), (1, 14), (0, 4)),
-        "r^(3n-5)*(2r^4+3r^3-23r^2+14r+4)",
-    ),
-    ReferenceForm(
-        (2, 1, 0),
-        _perms((2, 1, 0)),
-        -3,
-        ((2, 2), (1, -6), (0, 4)),
-        "r^(3n-3)*(2r^2-6r+4)",
-    ),
-    ReferenceForm((2, 0, 0), _perms((2, 0, 0)), 0, (), "0"),
-    ReferenceForm(
-        (1, 1, 1),
-        ((1, 1, 1),),
-        -3,
-        ((3, 1), (2, 3), (1, -16), (0, 12)),
-        "r^(3n-3)*(r^3+3r^2-16r+12)",
-    ),
-    ReferenceForm(
-        (1, 1, 0),
-        _perms((1, 1, 0)),
-        -2,
-        ((2, 1), (1, -3), (0, 2)),
-        "r^(3n-2)*(r^2-3r+2)",
-    ),
-    ReferenceForm((1, 0, 0), _perms((1, 0, 0)), 0, (), "0"),
-    ReferenceForm((0, 0, 0), ((0, 0, 0),), 0, (), "0"),
+    ReferenceForm((3, 3, 3), ((3, 3, 3),) + _perms((3, 3, 0)), "r^(3n-6)*(r^2-3r+2)"),
+    ReferenceForm((3, 3, 2), _perms((3, 3, 2), (3, 3, 1)), "3*r^(3n-6)*(r^2-3r+2)"),
+    ReferenceForm((3, 2, 2), _perms((3, 2, 2)), "r^(3n-6)*(2r^3-15r+12)"),
+    ReferenceForm((3, 2, 1), _perms((3, 2, 1)), "r^(3n-6)*(4r^3-9r^2-3r+6)"),
+    ReferenceForm((3, 2, 0), _perms((3, 2, 0)), "r^(3n-5)*(2r^2-6r+3)"),
+    ReferenceForm((3, 1, 1), _perms((3, 1, 1)), "r^(3n-5)*(r^3+r^2-10r+6)"),
+    ReferenceForm((3, 1, 0), _perms((3, 1, 0)), "r^(3n-4)*(r^2-3r+2)"),
+    ReferenceForm((3, 0, 0), _perms((3, 0, 0)), "0"),
+    ReferenceForm((2, 2, 2), ((2, 2, 2),), "r^(3n-6)*(2r^4+6r^3-28r^2+8r+12)"),
+    ReferenceForm((2, 2, 1), _perms((2, 2, 1)), "r^(3n-5)*(5r^3-7r^2-22r+24)"),
+    ReferenceForm((2, 2, 0), _perms((2, 2, 0)), "r^(3n-5)*(4r^3-12r^2+6r+2)"),
+    ReferenceForm((2, 1, 1), _perms((2, 1, 1)), "r^(3n-5)*(2r^4+3r^3-23r^2+14r+4)"),
+    ReferenceForm((2, 1, 0), _perms((2, 1, 0)), "r^(3n-3)*(2r^2-6r+4)"),
+    ReferenceForm((2, 0, 0), _perms((2, 0, 0)), "0"),
+    ReferenceForm((1, 1, 1), ((1, 1, 1),), "r^(3n-3)*(r^3+3r^2-16r+12)"),
+    ReferenceForm((1, 1, 0), _perms((1, 1, 0)), "r^(3n-2)*(r^2-3r+2)"),
+    ReferenceForm((1, 0, 0), _perms((1, 0, 0)), "0"),
+    ReferenceForm((0, 0, 0), ((0, 0, 0),), "0"),
 )
 
 

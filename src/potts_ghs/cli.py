@@ -40,6 +40,7 @@ from .model import (
     CapacityError,
     GhostWeightVector,
     ModelSpec,
+    _require_triple,
     instance_digest,
     pair_order,
 )
@@ -101,6 +102,7 @@ def _check_total(trials: int, cells) -> None:
 def _sign_check(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
     """Curvature-sign verdict and witness for the site triple (1, 2, 3): the
     exact sum for exact weights, the float derivative for a physical model."""
+    _require_triple(instance.n_sites)
     r = instance.n_states
     witness = {"n_states": r, "expected": expected_sign(r)}
     if isinstance(instance, GhostWeightVector):
@@ -151,8 +153,7 @@ def _trials(cells, mode: str, trials: int, seed: int, check) -> list:
     if trials < 1:
         raise UsageError("--trials must be >= 1")
     for n, r in cells:
-        if n < 3:
-            raise UsageError("the verified site triple (1,2,3) needs n_sites >= 3")
+        _require_triple(n)
         _check_work(n, r)
     _check_total(trials, cells)
     draw = _draw(mode)
@@ -271,7 +272,7 @@ def _cmd_expand(args) -> tuple:
         if weights.n_sites != args.n_sites:
             raise UsageError("--n-sites does not match the model file")
         _check_work(weights.n_sites, weights.n_states)
-        window = args.window if args.window is not None else len(order)
+        window = args.window = len(order) if args.window is None else args.window
         poly = expand_partial(weights, window)
         value = xpoly_eval(poly, weights.x_values())
         direct = ghs_sum(weights)
@@ -325,14 +326,7 @@ def _cmd_separation_check(args) -> tuple:
         [run] = _trials([cell], "exact", args.trials, args.seed, _separation_trial)
         failures = [{"trial": k, **witness} for k, ok, witness in run if not ok]
         passed = not failures
-        report = {
-            "mode": args.mode,
-            "n_sites": args.n_sites,
-            "n_states": args.r,
-            "trials": args.trials,
-            "seed": args.seed,
-            "failures": failures,
-        }
+        report = {"trials": args.trials, "failures": failures}
     return [_check(f"separation-{args.mode}", passed, report)], {}
 
 

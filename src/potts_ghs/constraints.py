@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .laurent import LaurentPoly
-from .model import GhostWeightVector, pair_order, weighted_sums
+from .model import GhostWeightVector, _require_triple, pair_order, weighted_sums
 from .partitions import block_count, merge_constraints
 
 # (sign, per-factor built-in equalities) for the five terms above.
@@ -82,8 +82,7 @@ def _pinned_sums(weight_seq, n_sites: int, n_states: int, triple, one) -> list:
 def _curvature_sum(weight_seq, n_sites: int, n_states: int, one):
     """r**3 * sum sign * Z_S1 Z_S2 Z_S3 for the triple (1, 2, 3): the scaled
     curvature sum from one ``_pinned_sums`` pass in the ring of ``one``."""
-    if n_sites < 3:
-        raise ValueError("the curvature sum needs n_sites >= 3")
+    _require_triple(n_sites)
     sums = _pinned_sums(weight_seq, n_sites, n_states, (1, 2, 3), one)
     return n_states**3 * ghs_combination(sums)
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .constraints import GHS_FACTORS, _curvature_sum, ghs_combination
 from .laurent import LaurentPoly
-from .model import CapacityError, GhostWeightVector, pair_order
+from .model import CapacityError, GhostWeightVector, _require_triple, pair_order
 from .partitions import block_count
 from .xpoly import XPoly, monomial_key
 
@@ -51,10 +51,10 @@ def _factor_product(n_sites: int, window: dict[int, tuple[int, int]]) -> XPoly:
 
 
 def _check_three_sites(n_sites: int) -> None:
-    """The size rule of the full expansion: fewer than three sites raise
-    ValueError, as the curvature sum does, and more sites CapacityError."""
-    if n_sites < 3:
-        raise ValueError("the curvature sum needs n_sites >= 3")
+    """The size rule of the full expansion: fewer than three sites break
+    the three-site rule (``model._require_triple``), and more sites raise
+    CapacityError."""
+    _require_triple(n_sites)
     if n_sites > 3:
         raise CapacityError(
             f"full expansion is supported at n_sites=3 only (got {n_sites})"

@@ -29,6 +29,14 @@ class CapacityError(Exception):
 MAX_SITES = 64
 
 
+def _require_triple(n_sites: int) -> None:
+    """The three-site rule: every route that reads the distinguished site
+    triple (1, 2, 3), the curvature sum among them, refuses a smaller size
+    with this one message before any enumeration."""
+    if n_sites < 3:
+        raise ValueError("the curvature sum needs n_sites >= 3")
+
+
 class PairOrder:
     """The lexicographic list of unordered pairs over {0, ..., n_sites}."""
 
@@ -53,13 +61,13 @@ class PairOrder:
     @property
     def core_indices(self) -> tuple[int, int, int]:
         """Indices of the distinguished site pairs (1,2), (1,3), (2,3)."""
-        self._require_triple()
+        _require_triple(self.n_sites)
         return (self.index_of[(1, 2)], self.index_of[(1, 3)], self.index_of[(2, 3)])
 
     @property
     def field_indices(self) -> tuple[int, int, int]:
         """Indices of the ghost pairs (0,1), (0,2), (0,3)."""
-        self._require_triple()
+        _require_triple(self.n_sites)
         return (self.index_of[(0, 1)], self.index_of[(0, 2)], self.index_of[(0, 3)])
 
     @property
@@ -67,10 +75,6 @@ class PairOrder:
         """All pair indices outside the core and field pairs."""
         special = set(self.core_indices) | set(self.field_indices)
         return tuple(p for p in range(len(self.pairs)) if p not in special)
-
-    def _require_triple(self) -> None:
-        if self.n_sites < 3:
-            raise ValueError("the distinguished site triple (1,2,3) needs n_sites >= 3")
 
     def __repr__(self) -> str:
         return f"PairOrder(n_sites={self.n_sites}, n_pairs={len(self.pairs)})"

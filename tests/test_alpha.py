@@ -198,7 +198,7 @@ def test_reference_sources_print_the_polynomials_they_are_compared_with(n_sites)
         assert parse_reference_source(form.source, n_sites) == form.poly(n_sites), form.source
     zero_forms = [form for form in REFERENCE_FORMS if form.source == "0"]
     assert len(zero_forms) == 4
-    assert all(form.inner == () for form in zero_forms)
+    assert all(form.poly(n_sites) == LaurentPoly() for form in zero_forms)
 
 
 def test_comparison_verdicts_are_frozen():

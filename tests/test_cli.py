@@ -478,7 +478,9 @@ def test_separation_configs_echo_only_the_flags_a_mode_uses(tmp_path):
     assert report["checks"][0]["witness"]["trials"] == 50
     code, report = run_main(tmp_path, argv + ["--trials", "2", "--seed", "9"])
     assert (report["config"]["trials"], report["config"]["seed"]) == (2, 9)
-    assert report["checks"][0]["witness"]["seed"] == 9
+    # The witness carries only what the check found; the run is in config.
+    assert set(report["checks"][0]["witness"]) == {"failures", "trials"}
+    assert report["checks"][0]["witness"]["trials"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -702,17 +704,41 @@ def test_a_run_past_the_total_work_bound_exits_before_any_work(
         ["verify-ghs", "--n-sites", "2", "--r", "1000"],
         ["sweep", "--n-sites-list", "2", "--r-list", "1000"],
         ["separation-check", "--n-sites", "2", "--mode", "random-eval", "--r", "1000"],
+        ["alpha-table", "--n-sites", "2"],
+        ["expand", "--n-sites", "2"],
+        ["separation-check", "--n-sites", "2", "--mode", "exhaustive"],
+        ["verify-ghs", "--model", "@exact"],
+        ["verify-ghs", "--model", "@physical"],
     ],
-    ids=["verify-ghs", "sweep", "separation-check"],
+    ids=[
+        "verify-ghs", "sweep", "separation-check", "alpha-table", "expand",
+        "separation-exhaustive", "verify-ghs-exact-model", "verify-ghs-physical-model",
+    ],
 )
 def test_seeded_runs_refuse_a_size_below_the_triple_before_capacity(
-    no_enumeration, capsys, argv
+    no_enumeration, tmp_path, capsys, argv
 ):
     # 1000**3 configurations would exceed the bound, but a size without the
-    # site triple (1, 2, 3) is refused first, the same way by every seeded run.
+    # site triple (1, 2, 3) is refused first, the same way by every seeded run;
+    # every other route that reads the triple refuses it with the same line.
+    if argv[-1].startswith("@"):
+        mode = {"@exact": "exact-weights", "@physical": "physical"}[argv[-1]]
+        doc = {"n_sites": 2, "n_states": 3, "mode": mode, "couplings": [[1, 2, 2]]}
+        argv = argv[:-1] + [write_exact_model(tmp_path, doc, "two-sites.json")]
     assert no_enumeration.main(argv) == 2
     err = capsys.readouterr().err
-    assert err == "error: the verified site triple (1,2,3) needs n_sites >= 3\n"
+    assert err == "error: the curvature sum needs n_sites >= 3\n"
+
+
+def test_a_derivative_needs_no_third_site(tmp_path, capsys):
+    # The derivative reads only the sites it is given, so two sites suffice;
+    # a site past n_sites is named, not the three-site rule.
+    argv = ["derivative", "--n-sites", "2", "--r", "3", "--i", "1", "--j", "2", "--k", "2"]
+    code, report = run_main(tmp_path, argv)
+    assert code == 0
+    assert report["results"][0]["site_triple"] == [1, 2, 2]
+    assert run_main(tmp_path, argv[:-1] + ["3"]) == (2, None)
+    assert capsys.readouterr().err == "error: site 3 out of range for n_sites=2\n"
 
 
 def test_the_total_work_bound_sums_the_cells_of_a_sweep(no_enumeration, capsys):
@@ -997,13 +1023,14 @@ def subcommand_flags(command):
             {"model"},
         ),
         (["expand", "--n-sites", "3"], {"model", "window"}),
+        (["expand", "--n-sites", "3", "--model", None], set()),
         (["separation-check", "--n-sites", "3", "--mode", "exhaustive"], {"r", "trials", "seed"}),
         (["alpha-table", "--n-sites", "3", "--r-values", "2,3"], set()),
         (["sweep", "--n-sites-list", "3", "--r-list", "2", "--trials", "2"], set()),
     ],
     ids=[
         "verify-ghs-model", "verify-ghs-seeded", "derivative", "expand",
-        "separation-check", "alpha-table", "sweep",
+        "expand-model", "separation-check", "alpha-table", "sweep",
     ],
 )
 def test_a_config_echoes_every_flag_of_its_subcommand(tmp_path, argv, unused):
