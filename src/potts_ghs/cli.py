@@ -121,12 +121,14 @@ def _draw(mode: str):
     return random_weights if mode == "exact" else random_model
 
 
-def _instance_source(args, replaced: tuple[str, ...]):
+def _instance_source(args, replaced: tuple[str, ...], triple: bool = False):
     """The --model file's instance, or None for a seeded --n-sites/--r cell.
 
     The flags the file replaces may not be passed, and --mode only to name
-    the file's pipeline.  Sets ``args.mode`` to the pipeline that runs, and
-    for a seeded cell ``args.seed`` to its default, since --model forbids it.
+    the file's pipeline.  With ``triple`` the file must hold the site triple
+    (1, 2, 3); that rule comes before the work bound, as for a seeded cell.
+    Sets ``args.mode`` to the pipeline that runs, and for a seeded cell
+    ``args.seed`` to its default, since --model forbids it.
     """
     if not args.model:
         if args.n_sites is None or args.r is None:
@@ -138,6 +140,8 @@ def _instance_source(args, replaced: tuple[str, ...]):
         if getattr(args, name) is not None:
             raise UsageError(f"--{name.replace('_', '-')} cannot be combined with --model")
     instance = load_model(args.model)
+    if triple:
+        _require_triple(instance.n_sites)
     _check_work(instance.n_sites, instance.n_states)
     mode = "exact" if isinstance(instance, GhostWeightVector) else "float"
     if args.mode not in (None, mode):
@@ -189,7 +193,7 @@ def _separation_trial(weights: GhostWeightVector) -> tuple[bool, dict]:
 
 
 def _cmd_verify_ghs(args) -> tuple:
-    instance = _instance_source(args, ("n_sites", "r", "trials", "seed"))
+    instance = _instance_source(args, ("n_sites", "r", "trials", "seed"), triple=True)
     if instance is not None:
         ok, witness = _sign_check(instance)
         name = "curvature-sign" if args.mode == "exact" else "curvature-sign-float"

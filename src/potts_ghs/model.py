@@ -194,15 +194,28 @@ def weighted_sums(
     Returns, for each requested set of sites, the sum of the configuration
     weight prod_p t_p**[sigma_i = sigma_j] over configurations where every
     site of the set is in state 1.  Works for any weight type that supports
-    multiplication and addition (Fraction, float, Decimal); ``one`` is the
-    multiplicative unit of that type.
+    multiplication and addition (Fraction, float, Decimal, XPoly); ``one``
+    is the multiplicative unit of that type.
 
-    Sites take their states in order 1..N, and the weight is extended by
-    the non-unit pairs (i, s), i < s, that close at site s, multiplied in
-    only when the two states are equal; a prefix is shared by all of its
-    completions.  Each finished configuration is added to one bucket, keyed
-    by which watched sites (the union of the requested sets) are in state 1,
-    and each requested sum adds the buckets whose key contains its set.
+    Pendant sites are summed out first.  A pendant site lies outside the
+    watched sites (the union of the requested sets) and has at most one
+    non-unit pair among the sites still kept.  Joined to u by weight t it
+    contributes t + (r - 1), and with no non-unit pair it contributes r.
+    The rule is exact by colour symmetry: whatever u's state, exactly one
+    of the site's r states equals it, so the sum over the site's state is
+    the same in every configuration of the rest and factors out of every
+    pinned sum.  Removing a site can make its neighbour pendant, so the
+    rule repeats until no pendant site is left; the ghost and the watched
+    sites always stay.  Each requested sum is multiplied once by the
+    product of the factors, and a pass that removes nothing makes no extra
+    ring operation.
+
+    The kept sites take their states in increasing order, and the weight is
+    extended by the non-unit pairs (i, s), i < s, that close at site s,
+    multiplied in only when the two states are equal; a prefix is shared by
+    all of its completions.  Each finished configuration is added to one
+    bucket, keyed by which watched sites are in state 1, and each requested
+    sum adds the buckets whose key contains its set.
     """
     order = pair_order(n_sites)
     targets = [frozenset(s) for s in site_sets]
@@ -210,36 +223,65 @@ def weighted_sums(
     if any(not 1 <= i <= n_sites for i in watched):
         raise ValueError("site index out of range")
     bit = {site: 1 << b for b, site in enumerate(watched)}
-    closing: list[list] = [[] for _ in range(n_sites + 1)]
+    links: list[dict] = [{} for _ in range(n_sites + 1)]
     for p, (i, j) in enumerate(order.pairs):
         if weight_seq[p] != one:
-            closing[j].append((i, weight_seq[p]))
+            links[i][j] = links[j][i] = weight_seq[p]
+
+    scale = None
+    removed = set()
+    pendant = [s for s in range(1, n_sites + 1) if len(links[s]) < 2 and s not in bit]
+    while pendant:
+        s = pendant.pop()
+        if s in removed:
+            continue
+        removed.add(s)
+        if links[s]:
+            ((u, t),) = links[s].items()
+            del links[u][s]
+            factor = t + one * (n_states - 1)
+            if u and len(links[u]) < 2 and u not in bit:
+                pendant.append(u)
+        else:
+            factor = one * n_states
+        scale = factor if scale is None else scale * factor
+
+    # The kept sites, relabelled 1..K in order; the ghost keeps label 0.
+    kept = [s for s in range(1, n_sites + 1) if s not in removed]
+    label = {0: 0, **{s: k for k, s in enumerate(kept, 1)}}
+    closing = [[]] + [[(label[i], t) for i, t in links[s].items() if i < s] for s in kept]
+    kept_bit = [0] + [bit.get(s, 0) for s in kept]
+    n_kept = len(kept)
     zero = one - one
     buckets = [zero] * (1 << len(watched))
     states = range(1, n_states + 1)
-    sigma = [1] * (n_sites + 1)
+    sigma = [1] * (n_kept + 1)
 
     def extend(s: int, w, mask: int) -> None:
         factor: dict = {}
         for i, t in closing[s]:
             c = sigma[i]
             factor[c] = factor[c] * t if c in factor else t
-        last = s == n_sites
+        last = s == n_kept
         for c in states:
             wc = w * factor[c] if c in factor else w
-            mc = mask | bit.get(s, 0) if c == 1 else mask
+            mc = mask | kept_bit[s] if c == 1 else mask
             if last:
                 buckets[mc] += wc
             else:
                 sigma[s] = c
                 extend(s + 1, wc, mc)
 
-    extend(1, one, 0)
+    if n_kept:
+        extend(1, one, 0)
+    else:
+        buckets[0] = one
     needs = [sum(bit[i] for i in tset) for tset in targets]
-    return [
+    sums = [
         sum((v for m, v in enumerate(buckets) if m & need == need), zero)
         for need in needs
     ]
+    return sums if scale is None else [z * scale for z in sums]
 
 
 def instance_digest(weights: GhostWeightVector) -> str:

@@ -127,8 +127,6 @@ def separation_check(n_sites: int) -> dict:
     full = expand_full(n_sites)
     mismatches = _poly_mismatches(assembled, full)
     return {
-        "mode": "exhaustive",
-        "n_sites": n_sites,
         "monomials_compared": max(len(assembled), len(full)),
         "mismatch_count": len(mismatches),
         "first_mismatch": mismatches[0] if mismatches else None,

@@ -7,10 +7,11 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
-from brute_force import ghs_I, pinned_sum
+from brute_force import ghs_I, pairs as brute_force_pairs, pinned_sum
 
 MODULE = [sys.executable, "-m", "potts_ghs"]
 
@@ -131,6 +132,37 @@ def test_verify_model_file_passing_instance(tmp_path):
     model = write_exact_model(tmp_path, doc)
     result = run_cli("verify-ghs", "--model", model)
     assert result.returncode == 0
+
+
+# A sparse exact model at n = 11, r = 3: the triangle 4-5-6 hangs off site 3
+# and stays, while the chain 1-7-8, the pair 2-9, the field of site 10 and
+# the isolated site 11 are summed out in closed form.
+SPARSE_11_MODEL = {
+    "n_sites": 11,
+    "n_states": 3,
+    "mode": "exact-weights",
+    "couplings": [
+        [1, 2, "3/2"], [1, 3, 2], [2, 3, "5/4"], [3, 4, 2], [4, 5, 3], [4, 6, 2],
+        [5, 6, "3/2"], [1, 7, 2], [7, 8, 3], [2, 9, "5/2"],
+    ],
+    "fields": [2, "3/2", 3, 1, 1, 1, 1, 1, 1, 2, 1],
+}
+
+
+def test_verify_sparse_model_file_sums_out_its_pendant_sites(tmp_path):
+    # Exit 1: the curvature sum is negative at r = 3.  It is the brute-force
+    # sum of the six kept sites times the cube of the pendant factors
+    # t + r - 1 (r for the isolated site 11).
+    out = tmp_path / "report.json"
+    model = write_exact_model(tmp_path, SPARSE_11_MODEL)
+    result = run_cli("verify-ghs", "--model", model, "--output", str(out))
+    assert result.returncode == 1
+    kept = {(i, j): t for i, j, t in SPARSE_11_MODEL["couplings"] if j <= 6}
+    kept.update({(0, s): t for s, t in enumerate(SPARSE_11_MODEL["fields"][:6], 1)})
+    core = [Fraction(kept.get(pair, 1)) for pair in brute_force_pairs(6)]
+    factor = (2 + 2) * (3 + 2) * (Fraction(5, 2) + 2) * (2 + 2) * 3
+    value = load_report(out)["checks"][0]["witness"]["value"]
+    assert Fraction(value) == ghs_I(6, 3, core) * factor**3
 
 
 def test_verify_requires_size_or_model():
@@ -728,6 +760,21 @@ def test_seeded_runs_refuse_a_size_below_the_triple_before_capacity(
     assert no_enumeration.main(argv) == 2
     err = capsys.readouterr().err
     assert err == "error: the curvature sum needs n_sites >= 3\n"
+
+
+@pytest.mark.parametrize("source", ["flags", "exact-weights", "physical"])
+def test_the_three_site_rule_comes_before_the_work_bound_in_every_form(
+    no_enumeration, tmp_path, capsys, source
+):
+    # 1000**3 configurations exceed the bound, but the flags and a model
+    # file of either pipeline refuse the size without the triple first.
+    if source == "flags":
+        argv = ["verify-ghs", "--n-sites", "2", "--r", "1000"]
+    else:
+        doc = {"n_sites": 2, "n_states": 1000, "mode": source, "couplings": [[1, 2, 2]]}
+        argv = ["verify-ghs", "--model", write_exact_model(tmp_path, doc)]
+    assert no_enumeration.main(argv) == 2
+    assert capsys.readouterr().err == "error: the curvature sum needs n_sites >= 3\n"
 
 
 def test_a_derivative_needs_no_third_site(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Pair ordering, exact weights, and the enumeration of pinned sums."""
 import decimal
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from brute_force import pinned_sum as oracle_pinned_sum, relabel
 from potts_ghs import GhostWeightVector, ModelSpec, instance_digest, pair_order
 from potts_ghs.constraints import constrained_sum
+from potts_ghs.derivatives import ghs_sum
 from potts_ghs.model import weighted_sums
 from potts_ghs.sampling import random_weights, trial_rng
 
@@ -124,6 +126,12 @@ def test_partition_function_trivial_values():
     assert pinned_sum(w) == 4
 
 
+# A tree over the ghost and sites 1..6 around the triple (1, 2, 3): the chain
+# 4-5 off site 3 and site 6, joined only to the ghost, are summed out, and
+# site 2 is watched with one pair.
+TREE_6 = ((0, 1), (0, 6), (1, 2), (1, 3), (3, 4), (4, 5))
+
+
 @pytest.mark.parametrize(
     "n, r, triple, unit_pairs",
     [
@@ -136,6 +144,7 @@ def test_partition_function_trivial_values():
         (5, 2, (1, 2, 5), ()),
         (5, 3, (4, 5, 2), ((0, 1), (3, 5))),
         (1, 3, (1, 1, 1), ()),
+        (6, 3, (1, 2, 3), tuple(p for p in pair_order(6).pairs if p not in TREE_6)),
     ],
 )
 def test_weighted_sums_match_the_brute_force_oracle(n, r, triple, unit_pairs):
@@ -148,21 +157,47 @@ def test_weighted_sums_match_the_brute_force_oracle(n, r, triple, unit_pairs):
 
 @st.composite
 def kernel_cases(draw):
-    n = draw(st.integers(1, 5))
-    r = draw(st.integers(2, 4))
+    """Instances whose deviations X = t - 1 are drawn on every pair, or, in
+    two draws out of three, only on the pairs of a random forest (each site
+    hangs off an earlier site, the ghost or nothing) and on at most one
+    more pair, with X = 0 elsewhere.  So pendant chains, isolated sites,
+    pendant sites on the ghost and watched sites with one pair all occur."""
+    n = draw(st.integers(1, 7))
+    r = draw(st.integers(2, {6: 3, 7: 2}.get(n, 4)))
     ratio = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
-    size = len(pair_order(n))
-    weights = draw(st.lists(ratio, min_size=size, max_size=size))
+    pairs = pair_order(n).pairs
+    weights = draw(st.lists(ratio, min_size=len(pairs), max_size=len(pairs)))
+    if draw(st.integers(0, 2)):
+        # Parent -1 leaves the site without a forest pair.
+        support = {(draw(st.integers(-1, s - 1)), s) for s in range(1, n + 1)}
+        if draw(st.booleans()):
+            support.add(draw(st.sampled_from(pairs)))
+        weights = [x if pair in support else 0 for x, pair in zip(weights, pairs)]
     sites = st.integers(1, n)
     triple = draw(st.tuples(sites, sites, sites))
     return n, r, [1 + x for x in weights], triple
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(kernel_cases())
 def test_weighted_sums_property_against_the_oracle(case):
     n, r, weights, triple = case
     assert_kernel_matches_oracle(n, r, weights, derivative_sets(*triple))
+
+
+def test_a_tree_off_the_core_scales_the_curvature_sum_by_its_factors():
+    # 3**14 configurations are out of reach of a full pass; summed out, the
+    # tree leaves the core (1, 2, 3).  Each tree site joined to its parent by
+    # t multiplies every pinned sum by t + r - 1, so the curvature sum, cubic
+    # in the pinned sums, by (t + r - 1)**3.
+    n, r = 14, 3
+    core = random_weights(3, r, trial_rng(36, 0))
+    parent = {4: 1, 5: 4, 6: 5, 7: 0, 8: 2, 9: 8, 10: 8, 11: 3, 12: 11, 13: 0, 14: 13}
+    tree = {(p, s): 1 + Fraction(s, 7) for s, p in parent.items()}
+    pairs = {pair: core.weights[q] for q, pair in enumerate(pair_order(3).pairs)}
+    w = GhostWeightVector.from_pair_map(n, r, {**pairs, **tree})
+    factor = math.prod(t + r - 1 for t in tree.values())
+    assert ghs_sum(w) == ghs_sum(core) * factor**3
 
 
 def test_weighted_sums_reject_sites_out_of_range():
