@@ -30,7 +30,7 @@ from itertools import compress, product
 
 from .constraints import matrix_coefficient
 from .laurent import LaurentPoly
-from .model import pair_order
+from .model import _require_triple, pair_order
 from .modelfile import rational_str
 from .separation import reduced_expansion
 
@@ -42,6 +42,7 @@ def alpha(x: int, y: int, z: int, n_sites: int = 3) -> LaurentPoly:
     for w in (x, y, z):
         if w not in (0, 1, 2, 3):
             raise ValueError(f"row weight {w} must be in 0..3")
+    _require_triple(n_sites)
     p1, p2, p3 = pair_order(n_sites).core_indices
     return reduced_expansion(n_sites).coefficient({p1: x, p2: y, p3: z})
 

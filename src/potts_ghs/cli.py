@@ -267,6 +267,7 @@ def _cmd_derivative(args) -> tuple:
 def _cmd_expand(args) -> tuple:
     if args.window is not None and not args.model:
         raise UsageError("--window needs --model")
+    _require_triple(args.n_sites)
     order = pair_order(args.n_sites)
     extras = {}
     if args.model:

@@ -17,8 +17,9 @@ F(0=S) = r * Z_S, with Z_S the pinned sum of ``model.weighted_sums``;
 ``ghs_combination`` forms the sum in any ring with F() factored out of four
 terms.  ``_pinned_sums`` is the one map from a site triple to its eight
 sums Z_S, a single ``weighted_sums`` pass that every derivative route and
-the finite-difference oracle take; the pass sums out the pendant sites
-outside the triple in closed form and enumerates only the sites left.
+the finite-difference oracle take; the pass first sums out, by the series,
+parallel and pendant rules, every site outside the triple that they reach,
+and enumerates only the sites left.
 ``_curvature_sum`` is that pass at (1, 2, 3) and the combination times
 r**3, which ``ghs_sum`` runs over Fraction and ``expand_partial`` over
 XPoly.  ``constrained_sum``,

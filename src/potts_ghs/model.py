@@ -197,25 +197,39 @@ def weighted_sums(
     multiplication and addition (Fraction, float, Decimal, XPoly); ``one``
     is the multiplicative unit of that type.
 
-    Pendant sites are summed out first.  A pendant site lies outside the
-    watched sites (the union of the requested sets) and has at most one
-    non-unit pair among the sites still kept.  Joined to u by weight t it
-    contributes t + (r - 1), and with no non-unit pair it contributes r.
-    The rule is exact by colour symmetry: whatever u's state, exactly one
-    of the site's r states equals it, so the sum over the site's state is
-    the same in every configuration of the rest and factors out of every
-    pinned sum.  Removing a site can make its neighbour pendant, so the
-    rule repeats until no pendant site is left; the ghost and the watched
-    sites always stay.  Each requested sum is multiplied once by the
-    product of the factors, and a pass that removes nothing makes no extra
-    ring operation.
+    Sites are summed out first by the series, parallel and pendant rules
+    of Fortuin-Kasteleyn sums.  Each non-unit pair is a link (agree,
+    disagree): it contributes agree when its two states are equal and
+    disagree when they differ, so an input pair t is (t, 1).  A removable
+    site lies outside the watched sites (the union of the requested sets)
+    and is not the ghost.  With one link (A, D) to u it is pendant and
+    contributes A + (r - 1) D, and with none it contributes r.  With two
+    links (A1, D1) to u and (A2, D2) to v it is in series and becomes one
+    link from u to v,
+
+        (A1 A2 + (r - 1) D1 D2,  A1 D2 + D1 A2 + (r - 2) D1 D2),
+
+    and a link onto a pair already linked merges with it in parallel,
+    agree times agree and disagree times disagree.  The rules are exact by
+    colour symmetry: whatever the states of the site's neighbours, the sum
+    over its own r states depends only on whether those states are equal,
+    one of the r states matching each neighbour and the rest matching
+    neither.  So a pendant site scales every pinned sum by the same factor
+    and a series site leaves a pair on the same sites.  None of the rules
+    divides, so they run the same in every ring.  Removing a site can make
+    a neighbour removable, and a parallel merge lowers two site degrees, so
+    the rules repeat until no site is left to remove; the ghost and the
+    watched sites always stay.  Each requested sum is multiplied once by
+    the product of the pendant factors, and a pass that removes nothing
+    makes no extra ring operation.
 
     The kept sites take their states in increasing order, and the weight is
-    extended by the non-unit pairs (i, s), i < s, that close at site s,
-    multiplied in only when the two states are equal; a prefix is shared by
-    all of its completions.  Each finished configuration is added to one
-    bucket, keyed by which watched sites are in state 1, and each requested
-    sum adds the buckets whose key contains its set.
+    extended by the links (i, s), i < s, that close at site s: by agree
+    when the two states are equal and, for a link whose disagree differs
+    from 1, by disagree when they differ.  A prefix is shared by all of its
+    completions.  Each finished configuration is added to one bucket,
+    keyed by which watched sites are in state 1, and each requested sum
+    adds the buckets whose key contains its set.
     """
     order = pair_order(n_sites)
     targets = [frozenset(s) for s in site_sets]
@@ -226,22 +240,44 @@ def weighted_sums(
     links: list[dict] = [{} for _ in range(n_sites + 1)]
     for p, (i, j) in enumerate(order.pairs):
         if weight_seq[p] != one:
-            links[i][j] = links[j][i] = weight_seq[p]
+            links[i][j] = links[j][i] = (weight_seq[p], one)
 
+    # Pendant sites go before series sites, so a tree is summed out by its
+    # factors alone.
+    pendant, series = [], []
+
+    def enqueue(s: int) -> None:
+        if s and s not in bit and len(links[s]) < 3:
+            (pendant if len(links[s]) < 2 else series).append(s)
+
+    for s in range(1, n_sites + 1):
+        enqueue(s)
     scale = None
     removed = set()
-    pendant = [s for s in range(1, n_sites + 1) if len(links[s]) < 2 and s not in bit]
-    while pendant:
-        s = pendant.pop()
+    while pendant or series:
+        s = (pendant or series).pop()
         if s in removed:
             continue
         removed.add(s)
-        if links[s]:
-            ((u, t),) = links[s].items()
+        ends = list(links[s].items())
+        for u, _ in ends:
             del links[u][s]
-            factor = t + one * (n_states - 1)
-            if u and len(links[u]) < 2 and u not in bit:
-                pendant.append(u)
+        if len(ends) == 2:
+            (u, (a1, d1)), (v, (a2, d2)) = ends
+            dd = d1 * d2
+            agree = a1 * a2 + dd * (n_states - 1)
+            disagree = a1 * d2 + d1 * a2 + dd * (n_states - 2)
+            if v in links[u]:
+                a, d = links[u][v]
+                agree, disagree = a * agree, d * disagree
+                enqueue(u)
+                enqueue(v)
+            links[u][v] = links[v][u] = (agree, disagree)
+            continue
+        if ends:
+            ((u, (a, d)),) = ends
+            factor = a + d * (n_states - 1)
+            enqueue(u)
         else:
             factor = one * n_states
         scale = factor if scale is None else scale * factor
@@ -249,7 +285,14 @@ def weighted_sums(
     # The kept sites, relabelled 1..K in order; the ghost keeps label 0.
     kept = [s for s in range(1, n_sites + 1) if s not in removed]
     label = {0: 0, **{s: k for k, s in enumerate(kept, 1)}}
-    closing = [[]] + [[(label[i], t) for i, t in links[s].items() if i < s] for s in kept]
+    # A pair the rules left alone still holds ``one`` itself as its
+    # disagree; any other pair multiplies by its disagree, which stays
+    # exact where that equals 1.
+    closing, crossing = [[]], [[]]
+    for s in kept:
+        below = [(label[i], a, d) for i, (a, d) in links[s].items() if i < s]
+        closing.append([(i, a) for i, a, d in below if d is one])
+        crossing.append([(i, a, d) for i, a, d in below if d is not one])
     kept_bit = [0] + [bit.get(s, 0) for s in kept]
     n_kept = len(kept)
     zero = one - one
@@ -262,6 +305,13 @@ def weighted_sums(
         for i, t in closing[s]:
             c = sigma[i]
             factor[c] = factor[c] * t if c in factor else t
+        if crossing[s]:
+            for c in states:
+                f = factor.get(c)
+                for i, a, d in crossing[s]:
+                    g = a if sigma[i] == c else d
+                    f = g if f is None else f * g
+                factor[c] = f
         last = s == n_kept
         for c in states:
             wc = w * factor[c] if c in factor else w

@@ -23,7 +23,12 @@ curvature sum is not.  At larger sizes the evaluated form equals the
 direct curvature sum on seeded instances whose field pairs, and every bulk
 pair other than the ghost pairs (0, j) with j > 3, carry weight 1.  It
 fails once the bulk pairs close a cycle through the core or the ghost:
-(1,4) and (2,4), (0,4) and (1,4), or (0,4), (4,5) and (0,5).  This module
+(1,4) and (2,4), (0,4) and (1,4), or (0,4), (4,5) and (0,5).  The last one
+fails only the per-pair form: a block that meets the rest at one site, the
+ghost triangle included, multiplies the curvature sum by (Z_B / r)**3, with
+Z_B the Potts sum of its own pairs, and a triangle's Z_B is not the product
+of three bridge factors.  The triangle itself splits off, and
+``model.weighted_sums`` sums it out in series and in parallel.  This module
 checks the factorization exhaustively at n_sites = 3 against the full
 symbolic expansion; the CLI's seeded trials evaluate it on random instances
 against the direct curvature sum.

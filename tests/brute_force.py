@@ -13,7 +13,8 @@ for the sum over configurations with every site of S in the ghost's state,
     Z**3 kappa = Z Z Z_123 - Z Z_12 Z_3 - Z Z_13 Z_2 - Z Z_23 Z_1
                  + 2 Z_1 Z_2 Z_3.
 
-``pinned_sum`` computes Z_S itself for any site set S, and ``relabel``
+``pinned_sum`` computes Z_S itself for any site set S, ``block_sum`` the
+plain Potts sum of a block of pairs with no site pinned, and ``relabel``
 moves pair weights along a permutation of the sites.
 
 It uses the standard library only and never imports ``potts_ghs``, so it
@@ -95,6 +96,21 @@ def pinned_sum(n_sites: int, n_states: int, weights, sites=()) -> Fraction:
             continue
         total += prod(
             (w for (i, j), w in t.items() if spins[i] == spins[j]), start=Fraction(1)
+        )
+    return total
+
+
+def block_sum(n_states: int, pair_weights) -> Fraction:
+    """Exact Potts sum Z_B of the pairs in ``pair_weights`` (a map from site
+    pairs to weights): every site they name takes each of the r states, and
+    a configuration weighs the product of the weights of its equal pairs."""
+    t = {pair: Fraction(w) for pair, w in pair_weights.items()}
+    sites = sorted({s for pair in t for s in pair})
+    total = Fraction(0)
+    for spins in product(range(n_states), repeat=len(sites)):
+        state = dict(zip(sites, spins))
+        total += prod(
+            (w for (i, j), w in t.items() if state[i] == state[j]), start=Fraction(1)
         )
     return total
 

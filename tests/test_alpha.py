@@ -106,8 +106,9 @@ def test_alpha_validates_arguments():
         alpha(4, 0, 0)
     with pytest.raises(ValueError, match="row weight"):
         alpha(1, -1, 0)
-    with pytest.raises(ValueError, match="n_sites"):
-        alpha(1, 1, 1, n_sites=2)
+    for n in (2, 0, -1):
+        with pytest.raises(ValueError, match="needs n_sites >= 3"):
+            alpha(1, 1, 1, n_sites=n)
 
 
 def test_symmetry_classes():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from brute_force import ghs_I, pairs as brute_force_pairs, pinned_sum
+from brute_force import block_sum, ghs_I, pairs as brute_force_pairs, pinned_sum
 
 MODULE = [sys.executable, "-m", "potts_ghs"]
 
@@ -134,9 +134,9 @@ def test_verify_model_file_passing_instance(tmp_path):
     assert result.returncode == 0
 
 
-# A sparse exact model at n = 11, r = 3: the triangle 4-5-6 hangs off site 3
-# and stays, while the chain 1-7-8, the pair 2-9, the field of site 10 and
-# the isolated site 11 are summed out in closed form.
+# A sparse exact model at n = 11, r = 3: the chain 1-7-8, the pair 2-9, the
+# field of site 10 and the isolated site 11 are pendant, and the triangle
+# 4-5-6 off site 3 is summed out in series and in parallel.
 SPARSE_11_MODEL = {
     "n_sites": 11,
     "n_states": 3,
@@ -151,8 +151,8 @@ SPARSE_11_MODEL = {
 
 def test_verify_sparse_model_file_sums_out_its_pendant_sites(tmp_path):
     # Exit 1: the curvature sum is negative at r = 3.  It is the brute-force
-    # sum of the six kept sites times the cube of the pendant factors
-    # t + r - 1 (r for the isolated site 11).
+    # sum of sites 1..6 (the core and the triangle) times the cube of the
+    # pendant factors t + r - 1 (r for the isolated site 11).
     out = tmp_path / "report.json"
     model = write_exact_model(tmp_path, SPARSE_11_MODEL)
     result = run_cli("verify-ghs", "--model", model, "--output", str(out))
@@ -163,6 +163,49 @@ def test_verify_sparse_model_file_sums_out_its_pendant_sites(tmp_path):
     factor = (2 + 2) * (3 + 2) * (Fraction(5, 2) + 2) * (2 + 2) * 3
     value = load_report(out)["checks"][0]["witness"]["value"]
     assert Fraction(value) == ghs_I(6, 3, core) * factor**3
+
+
+# An exact model at n = 18, r = 2 whose blocks off the core (1, 2, 3) are not
+# trees: the triangle 0-4-5 at the ghost, the 4-cycle 2-6-7-8 at site 2, the
+# theta graph 1-10-9, 1-11-12-9, 1-13-9 at site 1 and the ladder with rails
+# 3-14-15 and 16-17-18 and rungs 3-16, 14-17, 15-18 at site 3.  The series,
+# parallel and pendant rules sum them all out, leaving the core.
+BLOCKS_18_MODEL = {
+    "n_sites": 18,
+    "n_states": 2,
+    "mode": "exact-weights",
+    "couplings": [
+        [1, 2, "3/2"], [1, 3, 2], [2, 3, "5/4"], [4, 5, 3],
+        [2, 6, 2], [6, 7, 3], [7, 8, "5/4"], [2, 8, "7/3"],
+        [1, 10, 2], [9, 10, "3/2"], [1, 11, "5/2"], [11, 12, 2], [9, 12, "4/3"],
+        [1, 13, 3], [9, 13, 2],
+        [3, 14, 2], [14, 15, "3/2"], [16, 17, 3], [17, 18, "5/3"],
+        [3, 16, "9/4"], [14, 17, 2], [15, 18, "7/2"],
+    ],
+    "fields": [2, "3/2", 3, 2, "3/2"] + [1] * 13,
+}
+
+
+def test_verify_model_file_sums_out_blocks_that_are_not_trees(tmp_path):
+    # Exit 0: the curvature sum is negative at r = 2.  Each block B meets the
+    # rest at one site, so it multiplies the core's brute-force sum by
+    # (Z_B / r)**3.  A full pass visits 2**18 configurations.
+    out = tmp_path / "report.json"
+    model = write_exact_model(tmp_path, BLOCKS_18_MODEL)
+    result = run_cli("verify-ghs", "--model", model, "--output", str(out))
+    assert result.returncode == 0
+    pairs = {(i, j): Fraction(t) for i, j, t in BLOCKS_18_MODEL["couplings"]}
+    pairs.update({(0, s): Fraction(t) for s, t in enumerate(BLOCKS_18_MODEL["fields"], 1)})
+    core = [pairs.get(pair, 1) for pair in brute_force_pairs(3)]
+    blocks = [
+        [(0, 4), (4, 5), (0, 5)],
+        [(2, 6), (6, 7), (7, 8), (2, 8)],
+        [(1, 10), (9, 10), (1, 11), (11, 12), (9, 12), (1, 13), (9, 13)],
+        [(3, 14), (14, 15), (16, 17), (17, 18), (3, 16), (14, 17), (15, 18)],
+    ]
+    factor = math.prod(block_sum(2, {p: pairs[p] for p in block}) / 2 for block in blocks)
+    value = load_report(out)["checks"][0]["witness"]["value"]
+    assert Fraction(value) == ghs_I(3, 2, core) * factor**3
 
 
 def test_verify_requires_size_or_model():
@@ -741,10 +784,18 @@ def test_a_run_past_the_total_work_bound_exits_before_any_work(
         ["separation-check", "--n-sites", "2", "--mode", "exhaustive"],
         ["verify-ghs", "--model", "@exact"],
         ["verify-ghs", "--model", "@physical"],
+        ["alpha-table", "--n-sites", "0"],
+        ["alpha-table", "--n-sites", "-1"],
+        ["expand", "--n-sites", "0"],
+        ["expand", "--n-sites", "-1"],
+        ["verify-ghs", "--n-sites", "0", "--r", "1000"],
+        ["separation-check", "--n-sites", "-1", "--mode", "exhaustive"],
     ],
     ids=[
         "verify-ghs", "sweep", "separation-check", "alpha-table", "expand",
         "separation-exhaustive", "verify-ghs-exact-model", "verify-ghs-physical-model",
+        "alpha-table-zero", "alpha-table-negative", "expand-zero", "expand-negative",
+        "verify-ghs-zero", "separation-exhaustive-negative",
     ],
 )
 def test_seeded_runs_refuse_a_size_below_the_triple_before_capacity(

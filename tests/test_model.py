@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import pinned_sum as oracle_pinned_sum, relabel
+from brute_force import block_sum, pinned_sum as oracle_pinned_sum, relabel
 from potts_ghs import GhostWeightVector, ModelSpec, instance_digest, pair_order
 from potts_ghs.constraints import constrained_sum
 from potts_ghs.derivatives import ghs_sum
@@ -130,6 +130,12 @@ def test_partition_function_trivial_values():
 # 4-5 off site 3 and site 6, joined only to the ghost, are summed out, and
 # site 2 is watched with one pair.
 TREE_6 = ((0, 1), (0, 6), (1, 2), (1, 3), (3, 4), (4, 5))
+# A theta graph between the watched sites 1 and 2: the paths 1-4-2 and
+# 1-5-6-2 (two nested series steps) merge onto the pair (1, 2).
+THETA_6 = ((0, 3), (1, 2), (1, 4), (2, 4), (1, 5), (5, 6), (2, 6), (2, 3))
+# Merges onto the ghost: the triangle 0-4-5 and the path 0-6-1 beside the
+# field of site 1.
+GHOST_6 = ((0, 1), (0, 4), (4, 5), (0, 5), (0, 6), (1, 6), (1, 2), (2, 3))
 
 
 @pytest.mark.parametrize(
@@ -145,6 +151,9 @@ TREE_6 = ((0, 1), (0, 6), (1, 2), (1, 3), (3, 4), (4, 5))
         (5, 3, (4, 5, 2), ((0, 1), (3, 5))),
         (1, 3, (1, 1, 1), ()),
         (6, 3, (1, 2, 3), tuple(p for p in pair_order(6).pairs if p not in TREE_6)),
+        (6, 3, (1, 2, 3), tuple(p for p in pair_order(6).pairs if p not in THETA_6)),
+        (6, 2, (1, 2, 5), tuple(p for p in pair_order(6).pairs if p not in THETA_6)),
+        (6, 4, (1, 2, 3), tuple(p for p in pair_order(6).pairs if p not in GHOST_6)),
     ],
 )
 def test_weighted_sums_match_the_brute_force_oracle(n, r, triple, unit_pairs):
@@ -157,28 +166,47 @@ def test_weighted_sums_match_the_brute_force_oracle(n, r, triple, unit_pairs):
 
 @st.composite
 def kernel_cases(draw):
-    """Instances whose deviations X = t - 1 are drawn on every pair, or, in
-    two draws out of three, only on the pairs of a random forest (each site
-    hangs off an earlier site, the ghost or nothing) and on at most one
-    more pair, with X = 0 elsewhere.  So pendant chains, isolated sites,
-    pendant sites on the ghost and watched sites with one pair all occur."""
+    """Instances whose deviations X = t - 1 are drawn on every pair or, with
+    X = 0 elsewhere, only on the pairs of a sparse support of one of two
+    shapes.  A forest: each site hangs off an earlier site, the ghost or
+    nothing, plus at most one more pair, so pendant chains, isolated sites,
+    pendant sites on the ghost and watched sites with one pair all occur.
+    Ears: up to five paths, each through up to three fresh sites between
+    two sites already reached (the ghost and the triple at first), half of
+    them between the ends of the one before, so cycles, theta graphs,
+    chains between two watched sites (nested series steps) and parallel
+    merges onto a watched pair or onto the ghost all occur."""
     n = draw(st.integers(1, 7))
     r = draw(st.integers(2, {6: 3, 7: 2}.get(n, 4)))
     ratio = st.builds(Fraction, st.integers(0, 9), st.integers(1, 4))
     pairs = pair_order(n).pairs
     weights = draw(st.lists(ratio, min_size=len(pairs), max_size=len(pairs)))
-    if draw(st.integers(0, 2)):
+    sites = st.integers(1, n)
+    triple = draw(st.tuples(sites, sites, sites))
+    shape = draw(st.sampled_from(("dense", "forest", "ears", "ears")))
+    if shape == "forest":
         # Parent -1 leaves the site without a forest pair.
         support = {(draw(st.integers(-1, s - 1)), s) for s in range(1, n + 1)}
         if draw(st.booleans()):
             support.add(draw(st.sampled_from(pairs)))
+    elif shape == "ears":
+        reached = [0, *sorted(set(triple))]
+        fresh = draw(st.permutations([s for s in range(1, n + 1) if s not in reached]))
+        support = set()
+        for ear in range(draw(st.integers(1, 5))):
+            # Half the later ears reuse the last ends: a theta or a merge.
+            if not ear or draw(st.booleans()):
+                u, v = draw(st.sampled_from(reached)), draw(st.sampled_from(reached))
+            k = draw(st.integers(0, min(len(fresh), 3)))
+            path, fresh = [u, *fresh[:k], v], fresh[k:]
+            reached += path[1:-1]
+            support |= {(min(a, b), max(a, b)) for a, b in zip(path, path[1:]) if a != b}
+    if shape != "dense":
         weights = [x if pair in support else 0 for x, pair in zip(weights, pairs)]
-    sites = st.integers(1, n)
-    triple = draw(st.tuples(sites, sites, sites))
     return n, r, [1 + x for x in weights], triple
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(kernel_cases())
 def test_weighted_sums_property_against_the_oracle(case):
     n, r, weights, triple = case
@@ -198,6 +226,65 @@ def test_a_tree_off_the_core_scales_the_curvature_sum_by_its_factors():
     w = GhostWeightVector.from_pair_map(n, r, {**pairs, **tree})
     factor = math.prod(t + r - 1 for t in tree.values())
     assert ghs_sum(w) == ghs_sum(core) * factor**3
+
+
+def test_blocks_off_the_core_scale_the_curvature_sum_by_their_sums():
+    # 3**20 configurations are out of reach of a full pass; summed out by
+    # the series, parallel and pendant rules, the blocks leave the core
+    # (1, 2, 3).  A block B that meets the rest at one site multiplies every
+    # pinned sum by Z_B / r whatever that site's state, so the curvature
+    # sum, cubic in the pinned sums, by (Z_B / r)**3.
+    n, r = 20, 3
+    core = random_weights(3, r, trial_rng(37, 0))
+    triangle = {(0, 4): 2, (4, 5): Fraction(3, 2), (0, 5): 3}
+    square = {(2, 6): 2, (6, 7): 3, (7, 8): Fraction(5, 4), (2, 8): Fraction(7, 3)}
+    # A theta graph between sites 1 and 9, by the paths 1-10-9, 1-11-12-9
+    # and 1-13-14-15-16-9, and a 5-cycle 3-17-18-19-20 at site 3.
+    theta, pentagon = {}, {}
+    for block, path in (
+        (theta, (1, 10, 9)),
+        (theta, (1, 11, 12, 9)),
+        (theta, (1, 13, 14, 15, 16, 9)),
+        (pentagon, (3, 17, 18, 19, 20, 3)),
+    ):
+        for a, b in zip(path, path[1:]):
+            block[min(a, b), max(a, b)] = 1 + Fraction(b, 5)
+    blocks = (triangle, square, theta, pentagon)
+    pairs = {pair: core.weights[q] for q, pair in enumerate(pair_order(3).pairs)}
+    for block in blocks:
+        pairs.update(block)
+    w = GhostWeightVector.from_pair_map(n, r, pairs)
+    factor = math.prod(block_sum(r, block) / r for block in blocks)
+    assert ghs_sum(w) == ghs_sum(core) * factor**3
+    # Only the core is enumerated: a pass over four or more kept sites adds
+    # at least 3**4 configurations into its buckets, and each summed-out
+    # site costs at most three additions.
+    Tally.adds = 0
+    tallied = weighted_sums([Tally(t) for t in w.weights], n, r, [(1, 2, 3)], Tally(1))
+    assert tallied[0].value == pinned_sum(w, (1, 2, 3))
+    assert Tally.adds < r**4
+
+
+class Tally:
+    """Fraction arithmetic with no division that counts its additions."""
+
+    adds = 0
+
+    def __init__(self, value):
+        self.value = Fraction(value)
+
+    def __add__(self, other):
+        Tally.adds += 1
+        return Tally(self.value + other.value)
+
+    def __sub__(self, other):
+        return Tally(self.value - other.value)
+
+    def __mul__(self, other):
+        return Tally(self.value * (other.value if isinstance(other, Tally) else other))
+
+    def __eq__(self, other):
+        return self.value == other.value
 
 
 def test_weighted_sums_reject_sites_out_of_range():
