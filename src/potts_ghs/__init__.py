@@ -19,16 +19,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .alpha import (
-    AlphaTable,
-    REFERENCE_FORMS,
-    alpha,
-    alpha_table,
-    compare_reference,
-    sign_report,
-    table_export,
-)
-from .constraints import GHS_TERMS, matrix_coefficient
+from .alpha import AlphaTable, alpha_table, compare_reference, sign_report
 from .derivatives import (
     ghs_sum,
     second_derivative_analytic,
@@ -38,60 +29,39 @@ from .derivatives import (
 )
 from .expansion import expand_full, expand_partial
 from .laurent import LaurentPoly
-from .model import CapacityError, GhostWeightVector, ModelSpec, instance_digest, pair_order
-from .modelfile import ModelFileError, dump_weights, load_model, parse_rational, rational_str
-from .partitions import block_count
+from .model import CapacityError, GhostWeightVector, ModelSpec
+from .modelfile import ModelFileError, dump_model, load_model
 from .sampling import random_model, random_weights, trial_rng
-from .separation import (
-    SeparatedForm,
-    assemble_separated,
-    evaluate_separated,
-    reduced_expansion,
-    separation_check,
-    separated_form,
-)
-from .xpoly import XPoly, monomial_key, xpoly_eval, xpoly_records
+from .separation import SeparatedForm, evaluate_separated, separated_form, separation_check
+from .xpoly import XPoly
 
+# The entry points.  Plumbing (pair_order, rational_str, xpoly_records, ...)
+# stays importable from its own module.
 __all__ = [
     "AlphaTable",
     "CapacityError",
-    "GHS_TERMS",
     "GhostWeightVector",
     "LaurentPoly",
     "ModelFileError",
     "ModelSpec",
-    "REFERENCE_FORMS",
     "SeparatedForm",
     "XPoly",
-    "alpha",
     "alpha_table",
-    "assemble_separated",
-    "block_count",
     "compare_reference",
-    "dump_weights",
+    "dump_model",
     "evaluate_separated",
     "expand_full",
     "expand_partial",
     "ghs_sum",
-    "instance_digest",
     "load_model",
-    "matrix_coefficient",
-    "monomial_key",
-    "pair_order",
-    "parse_rational",
     "random_model",
     "random_weights",
-    "rational_str",
-    "reduced_expansion",
     "second_derivative_analytic",
     "second_derivative_fd",
     "second_derivative_float",
     "second_derivative_via_sum",
-    "separation_check",
     "separated_form",
+    "separation_check",
     "sign_report",
-    "table_export",
     "trial_rng",
-    "xpoly_eval",
-    "xpoly_records",
 ]

@@ -235,7 +235,7 @@ def compare_reference(table: AlphaTable) -> dict:
     for columns in product(subsets, repeat=3):
         key = tuple(sum(pair in column for column in columns) for pair in core)
         coeff = matrix_coefficient(n, columns)
-        summed[key] = summed.get(key, LaurentPoly.zero()) + coeff
+        summed[key] = summed.get(key, LaurentPoly()) + coeff
     oracle_agreement = all(table.entries[t] == summed[t] for t in summed)
     coverage_ok = sorted(covered) == sorted(
         (x, y, z) for x in range(4) for y in range(4) for z in range(4)

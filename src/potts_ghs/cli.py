@@ -27,14 +27,7 @@ from .alpha import (
     sign_report,
     table_export,
 )
-from .derivatives import (
-    _curvature_quotient,
-    _exact_sums,
-    _truncated_triple,
-    ghs_sum,
-    second_derivative_fd,
-    second_derivative_float,
-)
+from .derivatives import _triple_pass, ghs_sum, second_derivative_fd
 from .expansion import expand_full, expand_partial
 from .model import (
     CapacityError,
@@ -44,7 +37,7 @@ from .model import (
     instance_digest,
     pair_order,
 )
-from .modelfile import dump_weights, load_model, rational_str
+from .modelfile import dump_model, load_model, rational_str
 from .sampling import random_model, random_weights, trial_rng
 from .separation import evaluate_separated, separated_form, separation_check
 from .xpoly import xpoly_eval, xpoly_records
@@ -101,7 +94,8 @@ def _check_total(trials: int, cells) -> None:
 
 def _sign_check(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
     """Curvature-sign verdict and witness for the site triple (1, 2, 3): the
-    exact sum for exact weights, the float derivative for a physical model."""
+    exact sum for exact weights, the float derivative for a physical model,
+    whose witness names the route that ran ("float" or "exact-fallback")."""
     _require_triple(instance.n_sites)
     r = instance.n_states
     witness = {"n_states": r, "expected": expected_sign(r)}
@@ -110,9 +104,9 @@ def _sign_check(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
         tol = 0
         witness.update(instance=instance_digest(instance), value=rational_str(value))
     else:
-        value = second_derivative_float(instance, 1, 2, 3)
+        value, _, route = _triple_pass(instance, 1, 2, 3)
         tol = FLOAT_SIGN_TOL
-        witness.update(tolerance=tol, value=value)
+        witness.update(route=route, tolerance=tol, value=value)
     return has_expected_sign(value, r, tol), witness
 
 
@@ -170,10 +164,10 @@ def _trials(cells, mode: str, trials: int, seed: int, check) -> list:
 
 
 def _sign_trial(instance: GhostWeightVector | ModelSpec) -> tuple[bool, dict]:
-    """``_sign_check`` whose failing exact witness carries its model file."""
+    """``_sign_check`` whose failing witness carries its model file."""
     ok, witness = _sign_check(instance)
-    if not ok and isinstance(instance, GhostWeightVector):
-        witness["weights"] = dump_weights(instance)
+    if not ok:
+        witness["weights"] = dump_model(instance)
     return ok, witness
 
 
@@ -225,26 +219,23 @@ def _cmd_derivative(args) -> tuple:
     # routes; its record still comes last.
     fd = second_derivative_fd(instance, i, j, k, h=args.h_step)
     checks = []
+    # One pass: for exact weights both exact records read its eight sums.
+    analytic, via, _ = _triple_pass(instance, i, j, k)
     if isinstance(instance, GhostWeightVector):
-        # One Fraction pass: both exact records combine its eight sums.
-        sums = _exact_sums(instance, i, j, k)
-        exact = _truncated_triple(sums)
         digest = instance_digest(instance)
-        results = [result("analytic", rational_str(exact), digest)]
-        if len({i, j, k}) == 3:
-            via = _curvature_quotient(sums)
+        results = [result("analytic", rational_str(analytic), digest)]
+        if via is not None:
             results.append(result("via-curvature-sum", rational_str(via), digest))
             checks.append(
                 _check(
                     "analytic-equals-curvature-route",
-                    via == exact,
-                    {"analytic": rational_str(exact), "via": rational_str(via)},
+                    via == analytic,
+                    {"analytic": rational_str(analytic), "via": rational_str(via)},
                 )
             )
-        reference = float(exact)
     else:
-        reference = second_derivative_float(instance, i, j, k)
-        results = [result("analytic", reference)]
+        results = [result("analytic", analytic)]
+    reference = float(analytic)
     results.append(result("finite-difference", fd, h=args.h_step))
     err = abs(fd - reference)
     tol = max(1e-6 * abs(reference), 1e-10)

@@ -15,12 +15,11 @@ combine them with the staged ``constraints.ghs_combination``; their
 independent check is the stdlib enumerator ``tests/brute_force.py``.
 ``second_derivative_via_sum`` takes the curvature sum of any distinct
 triple from that triple's own pass and divides it by r**3 Z**3, with Z the
-``()`` sum of the same pass.  Each exact route is a pass step,
-``_exact_sums``, and a combine step, ``_truncated_triple`` for the analytic
-value and ``_curvature_quotient`` for the curvature-sum route, so an exact
-``derivative`` job makes two passes: the oracle's ``Decimal`` pass and one
-``Fraction`` pass whose eight sums both combiners read, the via record
-dividing that pass's combination by Z**3.
+``()`` sum of the same pass.  ``_triple_pass`` is the one pass behind the
+three derivative routes: over Fraction it gives the analytic value and, at
+distinct sites, the curvature-sum value from the same eight sums, so an
+exact ``derivative`` job makes two passes, this one and the oracle's
+``Decimal`` pass.
 A high-precision finite-difference oracle backs the analytic values
 numerically, on a physical model or on the exact weights themselves.  It
 takes the same ``_pinned_sums`` pass at the unshifted weights and evaluates
@@ -29,9 +28,10 @@ analytic routes but not the combiner.  It computes in the standard
 library's ``decimal`` at 42 digits; a coupling above about 2.3e18
 overflows it and raises CapacityError (CLI exit 3).  On a physical model
 the float route and the oracle read the pair energies J from one map,
-``_energies``, and each takes e**J in its own ring.  When every e**J is a
-finite double but the partition sum overflows, the float route sums the
-same doubles exactly and rounds the answer once.
+``_energies``, and each takes e**J in its own ring.  When the float pass
+leaves Z infinite although every e**J is a finite double, the same
+doubles are summed exactly and the answer rounded once; the route that
+ran is "float" or "exact-fallback".
 """
 from __future__ import annotations
 
@@ -59,32 +59,43 @@ def _truncated_triple(sums):
     """The five-term truncated triple correlation from a triple's eight
     pinned sums, in their ring: the combiner over Z_S / Z."""
     z = sums[0]
-    # z bounds every other sum, so a finite z keeps each ratio in [0, 1];
-    # z * 0 == 0 fails only when a float z has overflowed to inf or NaN.
-    if z * 0 != 0:
-        raise CapacityError("the partition sum overflows double precision")
     return ghs_combination([zs / z for zs in sums])
 
 
-def _curvature_quotient(sums) -> Fraction:
-    """The curvature sum of a triple from its eight pinned sums, divided
-    back by r**3 Z**3: the combination over Z**3, where the r**3 cancels."""
-    return ghs_combination(sums) / sums[0] ** 3
+def _triple_pass(instance: GhostWeightVector | ModelSpec, i: int, j: int, k: int):
+    """One enumeration pass over the triple (i, j, k): (analytic, via, route).
 
-
-def _exact_sums(weights: GhostWeightVector, i: int, j: int, k: int) -> list:
-    """The eight pinned sums of the triple (i, j, k) over Fraction: the one
-    pass both exact routes combine."""
-    return _pinned_sums(
-        weights.weights, weights.n_sites, weights.n_states, (i, j, k), Fraction(1)
-    )
+    Exact weights make one Fraction pass.  ``analytic`` is the truncated
+    triple, ``via`` the curvature sum divided back by r**3 Z**3 (the
+    combination over Z**3, where the r**3 cancels) at distinct sites and
+    None otherwise, and ``route`` is "exact".  A physical model makes one
+    float pass over the weights e**J (CapacityError when one overflows).
+    Z bounds every other sum, so a finite Z keeps each ratio in [0, 1];
+    when Z is not finite the same doubles are summed as Fractions and the
+    exact value is rounded to a float.  ``via`` is None and ``route`` reads
+    "float" or "exact-fallback".
+    """
+    size = (instance.n_sites, instance.n_states)
+    if isinstance(instance, GhostWeightVector):
+        sums = _pinned_sums(instance.weights, *size, (i, j, k), Fraction(1))
+        via = ghs_combination(sums) / sums[0] ** 3 if len({i, j, k}) == 3 else None
+        return _truncated_triple(sums), via, "exact"
+    try:
+        tw = [math.exp(energy) for energy in _energies(instance)]
+    except OverflowError as exc:
+        raise CapacityError("a pair weight e**J overflows double precision") from exc
+    sums = _pinned_sums(tw, *size, (i, j, k), 1.0)
+    if math.isfinite(sums[0]):
+        return _truncated_triple(sums), None, "float"
+    exact = _pinned_sums([Fraction(t) for t in tw], *size, (i, j, k), Fraction(1))
+    return float(_truncated_triple(exact)), None, "exact-fallback"
 
 
 def second_derivative_analytic(
     weights: GhostWeightVector, i: int, j: int, k: int
 ) -> Fraction:
     """d^2 m_i / (d B_j d B_k), exactly, via truncated triple correlations."""
-    return _truncated_triple(_exact_sums(weights, i, j, k))
+    return _triple_pass(weights, i, j, k)[0]
 
 
 def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
@@ -93,16 +104,7 @@ def second_derivative_float(model: ModelSpec, i: int, j: int, k: int) -> float:
     CapacityError when a weight e**J overflows.  When only the partition
     sum overflows, the same double weights are summed as Fractions and the
     exact value is rounded to a float."""
-    try:
-        tw = [math.exp(energy) for energy in _energies(model)]
-    except OverflowError as exc:
-        raise CapacityError("a pair weight e**J overflows double precision") from exc
-    size = (model.n_sites, model.n_states)
-    try:
-        return _truncated_triple(_pinned_sums(tw, *size, (i, j, k), 1.0))
-    except CapacityError:
-        exact = _pinned_sums([Fraction(t) for t in tw], *size, (i, j, k), Fraction(1))
-        return float(_truncated_triple(exact))
+    return _triple_pass(model, i, j, k)[0]
 
 
 def second_derivative_fd(
@@ -184,9 +186,9 @@ def second_derivative_via_sum(
 
     Only defined for distinct sites: the scaled sum of (i, j, k) is divided
     back by r**3 Z**3, where the r**3 cancels.  One pass: Z is the ``()``
-    sum of the triple's own ``_pinned_sums`` pass.
+    sum of the triple's own ``_triple_pass``.
     """
     _check_sites(weights.n_sites, i, j, k)
     if len({i, j, k}) != 3:
         raise ValueError("the curvature-sum route needs three distinct sites")
-    return _curvature_quotient(_exact_sums(weights, i, j, k))
+    return _triple_pass(weights, i, j, k)[1]

@@ -95,8 +95,8 @@ def expand_partial(weights: GhostWeightVector, s: int) -> XPoly:
             f"({MAX_DENSE_WINDOW}); pick a smaller window"
         )
     first = n_pairs - s
-    weight_seq = [XPoly.constant(t) for t in weights.weights[:first]]
+    weight_seq = [XPoly({(): t}) for t in weights.weights[:first]]
     weight_seq += [XPoly({(): 1, ((p, 1),): 1}) for p in range(first, n_pairs)]
     return _curvature_sum(
-        weight_seq, weights.n_sites, weights.n_states, XPoly.constant(Fraction(1))
+        weight_seq, weights.n_sites, weights.n_states, XPoly({(): Fraction(1)})
     )

@@ -27,20 +27,6 @@ class LaurentPoly:
                     clean[exp] = c
         self._coeffs = clean
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, coeff: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self) -> Iterable[tuple[int, int]]:
@@ -54,12 +40,6 @@ class LaurentPoly:
         if not self._coeffs:
             raise ValueError("zero polynomial has no exponents")
         return min(self._coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self._coeffs)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

@@ -158,20 +158,27 @@ def load_model(path: str | Path) -> GhostWeightVector | ModelSpec:
     raise ModelFileError(f"unknown mode {mode!r} (want 'exact-weights' or 'physical')")
 
 
-def dump_weights(weights: GhostWeightVector) -> dict:
-    """JSON-ready description of an exact instance, loadable by load_model."""
-    order = pair_order(weights.n_sites)
-    couplings = []
-    fields = [rational_str(Fraction(1))] * weights.n_sites
-    for (i, j), t in zip(order.pairs, weights.weights):
-        if i == 0:
-            fields[j - 1] = rational_str(t)
-        else:
-            couplings.append([i, j, rational_str(t)])
+def dump_model(instance: GhostWeightVector | ModelSpec) -> dict:
+    """JSON-ready model file of an instance, which load_model reads back:
+    every pair weight of exact weights as "p/q", and the stored couplings
+    and fields of a physical model as floats, which JSON keeps exactly."""
+    if isinstance(instance, ModelSpec):
+        mode = "physical"
+        pairs = sorted(instance.couplings.items())
+        couplings = [[i, j, value] for (i, j), value in pairs]
+        fields = list(instance.fields)
+    else:
+        mode = "exact-weights"
+        couplings, fields = [], [rational_str(Fraction(1))] * instance.n_sites
+        for (i, j), t in zip(pair_order(instance.n_sites).pairs, instance.weights):
+            if i == 0:
+                fields[j - 1] = rational_str(t)
+            else:
+                couplings.append([i, j, rational_str(t)])
     return {
-        "n_sites": weights.n_sites,
-        "n_states": weights.n_states,
-        "mode": "exact-weights",
+        "n_sites": instance.n_sites,
+        "n_states": instance.n_states,
+        "mode": mode,
         "couplings": couplings,
         "fields": fields,
     }

@@ -19,19 +19,35 @@ n_sites = 3 the assembled form agrees with the full expansion on the 54
 monomials free of the field variables X_01, X_02, X_03 (the zero-field
 slice) and on none of the 3402 that carry one: at r = 2 every core
 coefficient vanishes, so the assembled form is identically zero while the
-curvature sum is not.  At larger sizes the evaluated form equals the
-direct curvature sum on seeded instances whose field pairs, and every bulk
-pair other than the ghost pairs (0, j) with j > 3, carry weight 1.  It
-fails once the bulk pairs close a cycle through the core or the ghost:
-(1,4) and (2,4), (0,4) and (1,4), or (0,4), (4,5) and (0,5).  The last one
-fails only the per-pair form: a block that meets the rest at one site, the
-ghost triangle included, multiplies the curvature sum by (Z_B / r)**3, with
-Z_B the Potts sum of its own pairs, and a triangle's Z_B is not the product
-of three bridge factors.  The triangle itself splits off, and
-``model.weighted_sums`` sums it out in series and in parallel.  This module
-checks the factorization exhaustively at n_sites = 3 against the full
-symbolic expansion; the CLI's seeded trials evaluate it on random instances
-against the direct curvature sum.
+curvature sum is not.
+
+What separates exactly is every block off the core.  Let G be the graph
+of the pairs whose weight differs from 1, with the six pairs among
+{0, 1, 2, 3} added, and C its 2-connected block holding {0, 1, 2, 3}.  Then
+
+    ghs_I(w) = ghs_I(w on C) * prod_{B != C} (Z_B / r**|V_B|)**3
+
+over the other blocks B of G, with Z_B the Potts sum of B's own pairs over
+its |V_B| sites and "w on C" every pair outside C set to 1.  Each such B
+meets the rest at one site; summed over its other sites it scales every
+pinned sum by Z_B / r whatever that site's state, by colour symmetry, so
+each factor of the five terms gains the same factor, while w on C leaves
+those sites free, r each.  The per-pair form is the case where every block
+off the core is a bridge: a bridge of weight t = 1 + X has Z_B = r**2 + r X,
+and (Z_B / r**2)**3 is the bulk factor (1 + X/r)**3.  So at larger sizes the
+evaluated form equals the direct curvature sum on the seeded instances whose
+field pairs, and every bulk pair other than the ghost pairs (0, j) with
+j > 3, carry weight 1: each (0, j) is a bridge.  It fails where that case
+ends.  The field pairs (0, 1), (0, 2), (0, 3) lie in C, so no factor splits
+them off.  Bulk pairs that close a cycle through the core or the ghost,
+such as (1,4) and (2,4) or (0,4) and (1,4), join C.  And a block off the
+core that is not a bridge, such as the ghost triangle (0,4), (4,5), (0,5),
+still splits off whole, but its Z_B is not a product of bridge factors.
+``model.weighted_sums`` sums out in series and in parallel every block off
+the core with no K4 minor.  This module checks the factorization
+exhaustively at n_sites = 3 against the full symbolic expansion; the CLI's
+seeded trials evaluate it on random instances against the direct curvature
+sum.
 """
 from __future__ import annotations
 

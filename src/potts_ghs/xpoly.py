@@ -43,18 +43,6 @@ class XPoly:
                 merged[key] = merged[key] + coeff if key in merged else coeff
         self._terms = {k: c for k, c in merged.items() if c}
 
-    @classmethod
-    def zero(cls) -> "XPoly":
-        return cls()
-
-    @classmethod
-    def term(cls, coeff, exponents: Mapping[int, int]) -> "XPoly":
-        return cls({monomial_key(exponents): coeff})
-
-    @classmethod
-    def constant(cls, coeff) -> "XPoly":
-        return cls({(): coeff})
-
     # -- inspection --------------------------------------------------------
 
     def items(self):
@@ -69,17 +57,14 @@ class XPoly:
     def coefficient(self, exponents: Mapping[int, int]):
         """Coefficient of the given monomial, the ring's zero when absent.
 
-        The zero is LaurentPoly.zero() for symbolic coefficients and 0 for
+        The zero is LaurentPoly() for symbolic coefficients and 0 for
         numeric ones (or for a polynomial with no terms).
         """
         key = monomial_key(exponents)
         if key in self._terms:
             return self._terms[key]
         first = next(iter(self._terms.values()), 0)
-        return LaurentPoly.zero() if isinstance(first, LaurentPoly) else 0
-
-    def variables(self) -> set[int]:
-        return {var for mono in self._terms for var, _ in mono}
+        return LaurentPoly() if isinstance(first, LaurentPoly) else 0
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, XPoly):

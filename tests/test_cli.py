@@ -711,8 +711,7 @@ def no_enumeration(monkeypatch):
     for name in (
         "ghs_sum",
         "evaluate_separated",
-        "_exact_sums",
-        "second_derivative_float",
+        "_triple_pass",
         "second_derivative_fd",
     ):
         monkeypatch.setattr(cli, name, forbidden)
@@ -949,6 +948,50 @@ def test_float_overflow_of_the_sum_falls_back_to_exact_sums(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "coupling, field, route",
+    [(200.0, 200.0, "exact-fallback"), (0.5, 0.0, "float")],
+    ids=["overflowing-sum", "double-range"],
+)
+def test_the_float_witness_names_its_route(tmp_path, coupling, field, route):
+    # README's overflow file (couplings and fields of 200, N = 3, r = 3)
+    # takes the exact fallback; a file whose sums stay in double range
+    # takes the float pass.  Both pass the sign check.
+    model = physical_model(tmp_path, coupling, field)
+    code, report = run_main(tmp_path, ["verify-ghs", "--model", model])
+    assert code == 0
+    (check,) = report["checks"]
+    assert check["name"] == "curvature-sign-float"
+    assert check["witness"]["route"] == route
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--n-sites-list", "3", "--r-list", "3", "--trials", "3"],
+        ["verify-ghs", "--n-sites", "5", "--r", "3", "--trials", "4"],
+    ],
+    ids=["sweep", "verify-ghs"],
+)
+def test_float_failures_carry_replayable_model_files(tmp_path, argv):
+    code, report = run_main(tmp_path, argv + ["--mode", "float"])
+    assert code == 1
+    if argv[0] == "sweep":
+        failures = report["checks"][0]["witness"]["failures"]
+    else:
+        failures = [c["witness"] for c in report["checks"] if c["status"] == "fail"]
+    assert failures
+    for failure in failures:
+        assert failure["route"] == "float"
+        assert failure["weights"]["mode"] == "physical"
+        model = write_exact_model(tmp_path, failure["weights"], "replay.json")
+        code, replay = run_main(tmp_path, ["verify-ghs", "--model", model])
+        assert code == 1
+        witness = replay["checks"][0]["witness"]
+        assert witness["value"].hex() == failure["value"].hex()
+        assert witness["route"] == failure["route"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [["verify-ghs"], ["derivative", "--i", "1", "--j", "2", "--k", "3"]],
 )
@@ -997,8 +1040,7 @@ def test_derivative_refuses_a_bad_step_before_the_exact_routes(monkeypatch, caps
     def forbidden(*args, **kwargs):
         raise AssertionError("an exact route ran before the step was checked")
 
-    for name in ("_exact_sums", "second_derivative_float"):
-        monkeypatch.setattr(cli, name, forbidden)
+    monkeypatch.setattr(cli, "_triple_pass", forbidden)
     argv = ["derivative", "--n-sites", "4", "--r", "3", "--mode", mode, "--seed", "4"]
     argv += ["--i", "1", "--j", "2", "--k", "3", "--h-step", "700"]
     assert cli.main(argv) == 2

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brute_force import block_sum, pinned_sum as oracle_pinned_sum, relabel
-from potts_ghs import GhostWeightVector, ModelSpec, instance_digest, pair_order
+from potts_ghs import GhostWeightVector, ModelSpec
 from potts_ghs.constraints import constrained_sum
 from potts_ghs.derivatives import ghs_sum
-from potts_ghs.model import weighted_sums
+from potts_ghs.model import instance_digest, pair_order, weighted_sums
 from potts_ghs.sampling import random_weights, trial_rng
 
 

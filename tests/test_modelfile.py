@@ -10,12 +10,12 @@ from potts_ghs import (
     GhostWeightVector,
     ModelFileError,
     ModelSpec,
-    dump_weights,
+    dump_model,
     load_model,
-    parse_rational,
+    random_model,
     random_weights,
-    rational_str,
 )
+from potts_ghs.modelfile import parse_rational, rational_str
 
 
 def write_model(tmp_path, doc, name="model.json"):
@@ -251,14 +251,14 @@ def test_load_rejects_bad_files(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# dump_weights
+# dump_model
 
 
 def test_dump_weights_shape():
     weights = GhostWeightVector.from_pair_map(
         3, 3, {(1, 2): Fraction(3, 2), (0, 1): Fraction(2)}
     )
-    doc = dump_weights(weights)
+    doc = dump_model(weights)
     assert doc["mode"] == "exact-weights"
     assert doc["n_sites"] == 3
     assert doc["n_states"] == 3
@@ -270,11 +270,23 @@ def test_dump_weights_round_trips_through_load_model(tmp_path):
     rng = random.Random("dump:0")
     for k, n_sites in enumerate((3, 4, 5)):
         weights = random_weights(n_sites, 3, rng)
-        path = write_model(tmp_path, dump_weights(weights), f"rt{k}.json")
+        path = write_model(tmp_path, dump_model(weights), f"rt{k}.json")
         assert load_model(path) == weights
 
 
 def test_dump_weights_is_json_serializable():
     weights = GhostWeightVector.uniform(4, 5, Fraction(7, 3))
-    text = json.dumps(dump_weights(weights), sort_keys=True)
+    text = json.dumps(dump_model(weights), sort_keys=True)
     assert "7/3" in text
+
+
+def test_dump_model_round_trips_a_physical_model(tmp_path):
+    # JSON writes a float by repr, so every coupling and field reads back
+    # bit for bit, and the reloaded model is equal.
+    rng = random.Random("dump:1")
+    for k, n_sites in enumerate((3, 4, 5)):
+        model = random_model(n_sites, 3, rng)
+        doc = dump_model(model)
+        assert doc["mode"] == "physical"
+        path = write_model(tmp_path, doc, f"physical{k}.json")
+        assert load_model(path) == model

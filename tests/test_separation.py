@@ -5,34 +5,45 @@ The factorization into per-pair closed-form factors times a reduced core is
 factors disagrees with the direct expansion on every monomial that mixes a
 field deviation with the core.  These tests pin down both the exact shape of
 the disagreement and the restricted slices where the factored form is right.
+What does separate, exactly, is every block that hangs off the core; the
+block-by-block property below asserts it.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blocks import biconnected_components, block_sites
+from brute_force import block_sum
 from potts_ghs import (
     CapacityError,
     GhostWeightVector,
     LaurentPoly,
     XPoly,
-    alpha,
-    assemble_separated,
     evaluate_separated,
     expand_full,
     ghs_sum,
-    matrix_coefficient,
-    pair_order,
     random_weights,
-    reduced_expansion,
     separated_form,
     separation_check,
-    xpoly_eval,
 )
 from potts_ghs import cli
-from potts_ghs.separation import BULK_COEFFS, FIELD_COEFFS, factor_poly
+from potts_ghs.alpha import alpha
+from potts_ghs.constraints import matrix_coefficient
+from potts_ghs.model import pair_order
+from potts_ghs.separation import (
+    BULK_COEFFS,
+    FIELD_COEFFS,
+    assemble_separated,
+    factor_poly,
+    reduced_expansion,
+)
+from potts_ghs.xpoly import xpoly_eval
 
 FIELD_VARS = set(pair_order(3).field_indices)
 
@@ -265,7 +276,7 @@ def aggregate(context_rows, p, k):
     """Sum of matrix coefficients over weight-k rows at pair index p in a
     context of rows keyed by pair index."""
     pairs = pair_order(3).pairs
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for row in rows_of_weight(k):
         entries = dict(context_rows)
         if k:
@@ -299,6 +310,99 @@ def test_field_aggregation_breaks_with_a_core_row():
     assert one_hot == LaurentPoly({8: 2, 6: -2})
     assert FIELD_COEFFS[1] * base == LaurentPoly({8: 2, 7: 2, 6: -4})
     assert one_hot != FIELD_COEFFS[1] * base
+
+
+# ---------------------------------------------------------------------------
+# what separates: blocks off the core, one by one
+
+CORE_GRAPH = frozenset((i, j) for i in range(4) for j in range(i + 1, 4))
+# Block shapes over local vertices; vertex 0 is the site the block shares
+# with the graph drawn so far.  K4 minus an edge is a theta graph.
+SHAPES = {
+    "bridge": ((0, 1),),
+    "triangle": ((0, 1), (1, 2), (0, 2)),
+    "square": ((0, 1), (1, 2), (2, 3), (0, 3)),
+    "theta": ((0, 1), (0, 2), (0, 3), (1, 3), (2, 3)),
+}
+K4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+MAX_PROPERTY_SITES = 10
+
+
+def test_biconnected_components_of_a_small_graph():
+    # Two triangles sharing site 2, a bridge 4-5 and a square on 5.
+    edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5)]
+    edges += [(5, 6), (6, 7), (7, 8), (5, 8)]
+    blocks = {tuple(sorted(b)) for b in biconnected_components(edges)}
+    assert blocks == {
+        ((0, 1), (0, 2), (1, 2)),
+        ((2, 3), (2, 4), (3, 4)),
+        ((4, 5),),
+        ((5, 6), (5, 8), (6, 7), (7, 8)),
+    }
+
+
+@st.composite
+def block_trees(draw):
+    """An instance whose non-unit pairs are the core pairs among {0, 1, 2, 3}
+    (each possibly 1), a K4 block on three new sites at a core site, one or
+    two more blocks at any site but the K4's own, and at most one chord
+    between two sites off the K4, which may fuse blocks into the core."""
+    r = draw(st.sampled_from([2, 3]))
+    weight = st.builds(
+        lambda a, b: 1 + Fraction(a, b), st.integers(1, 6), st.integers(1, 3)
+    )
+    pairs = {pair: draw(st.just(1) | weight) for pair in sorted(CORE_GRAPH)}
+    n = 3
+
+    def attach(shape, at):
+        nonlocal n
+        sites = [at] + list(range(n + 1, n + len(block_sites(shape))))
+        n += len(sites) - 1
+        for a, b in shape:
+            i, j = sorted((sites[a], sites[b]))
+            pairs[i, j] = draw(weight)
+        return set(sites[1:])
+
+    k4_sites = attach(K4, draw(st.integers(0, 3)))
+
+    def off_k4():
+        return st.sampled_from([s for s in range(n + 1) if s not in k4_sites])
+
+    shapes = st.lists(st.sampled_from(sorted(SHAPES)), min_size=1, max_size=2)
+    for shape in draw(shapes):
+        if n + len(block_sites(SHAPES[shape])) - 1 > MAX_PROPERTY_SITES:
+            break
+        attach(SHAPES[shape], draw(off_k4()))
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.lists(off_k4(), min_size=2, max_size=2, unique=True)))
+        pairs[i, j] = draw(weight)
+    return GhostWeightVector.from_pair_map(n, r, pairs), pairs, k4_sites
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(block_trees())
+def test_each_block_off_the_core_splits_off_as_its_cubed_sum(case):
+    # G is the graph of the pairs unequal to 1 plus the six core pairs, and C
+    # its block holding {0, 1, 2, 3}.  Every other block B meets the rest at
+    # one site, so summed over B's other sites it scales each pinned sum by
+    # Z_B / r whatever that site's state; against w on C, whose sites off C
+    # each give r, every factor gains Z_B / r**|V_B|, and the curvature sum
+    # its cube.  The kernel enumerates the K4 block, which the series,
+    # parallel and pendant rules cannot sum out.
+    w, pairs, k4_sites = case
+    r = w.n_states
+    graph = CORE_GRAPH | {pair for pair, t in pairs.items() if t != 1}
+    blocks = biconnected_components(graph)
+    (core,) = [b for b in blocks if CORE_GRAPH <= b]
+    off_core = [b for b in blocks if b is not core]
+    assert any(block_sites(b) > k4_sites for b in off_core)
+    on_core = {pair: pairs[pair] for pair in core}
+    w_core = GhostWeightVector.from_pair_map(w.n_sites, r, on_core)
+    factor = math.prod(
+        block_sum(r, {pair: pairs[pair] for pair in b}) / r ** len(block_sites(b))
+        for b in off_core
+    )
+    assert ghs_sum(w) == ghs_sum(w_core) * factor**3
 
 
 # ---------------------------------------------------------------------------
