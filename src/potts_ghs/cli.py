@@ -258,14 +258,23 @@ def _cmd_derivative(args) -> tuple:
 def _cmd_expand(args) -> tuple:
     if args.window is not None and not args.model:
         raise UsageError("--window needs --model")
-    _require_triple(args.n_sites)
-    order = pair_order(args.n_sites)
+    # Without --n-sites the model file gives the size; a --n-sites is judged
+    # before the file is read.
+    weights, n_sites = None, args.n_sites
+    if n_sites is None:
+        if not args.model:
+            raise UsageError("expand needs --n-sites or --model")
+        weights = load_model(args.model)
+        n_sites = weights.n_sites
+    _require_triple(n_sites)
+    order = pair_order(n_sites)
     extras = {}
     if args.model:
-        weights = load_model(args.model)
+        if weights is None:
+            weights = load_model(args.model)
         if not isinstance(weights, GhostWeightVector):
             raise UsageError("expand needs an exact-weights model")
-        if weights.n_sites != args.n_sites:
+        if weights.n_sites != n_sites:
             raise UsageError("--n-sites does not match the model file")
         _check_work(weights.n_sites, weights.n_states)
         window = args.window = len(order) if args.window is None else args.window
@@ -290,7 +299,7 @@ def _cmd_expand(args) -> tuple:
             "monomials": xpoly_records(poly, len(order)),
         }
     else:
-        poly = expand_full(args.n_sites)
+        poly = expand_full(n_sites)
         checks = [
             _check(
                 "full-expansion-computed",
@@ -434,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="default: 100")
     p.add_argument("--seed", type=int, help="default: 0")
     common(p)
-    p.set_defaults(func=_cmd_verify_ghs)
 
     p = sub.add_parser("derivative", help="second derivative by several routes")
     p.add_argument("--model", help="model file (JSON)")
@@ -447,14 +455,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h-step", type=float, default=1e-4)
     common(p)
-    p.set_defaults(func=_cmd_derivative)
 
     p = sub.add_parser("expand", help="expansion in the deviation variables")
-    p.add_argument("--n-sites", type=int, required=True)
+    p.add_argument("--n-sites", type=int, help="default: the --model file's")
     p.add_argument("--model", help="exact model file for a partial expansion")
     p.add_argument("--window", type=int, help="number of trailing pairs to expand")
     common(p)
-    p.set_defaults(func=_cmd_expand)
 
     p = sub.add_parser("separation-check", help="verify the factored form")
     p.add_argument("--n-sites", type=int, required=True)
@@ -463,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, help="random-eval only; default: 50")
     p.add_argument("--seed", type=int, help="random-eval only; default: 0")
     common(p)
-    p.set_defaults(func=_cmd_separation_check)
 
     p = sub.add_parser("alpha-table", help="aggregated coefficients and signs")
     p.add_argument("--n-sites", type=int, default=3)
@@ -474,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare against the built-in reference closed forms",
     )
     common(p)
-    p.set_defaults(func=_cmd_alpha_table)
 
     p = sub.add_parser("sweep", help="sign checks over a grid of sizes")
     p.add_argument("--n-sites-list", required=True)
@@ -483,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     common(p)
-    p.set_defaults(func=_cmd_sweep)
     return parser
 
 
@@ -507,12 +510,22 @@ def build_report(command: str, config: dict, checks: list[dict], extras: dict | 
     return report
 
 
+# The parser depends only on this module's code and parsing leaves it as it
+# was, so main builds it on its first call and every later call reuses it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # The handler is read from the module when the call runs, not bound when
+    # the parser was built.
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     start = time.perf_counter()
     try:
-        checks, extras = args.func(args)
+        checks, extras = handler(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -524,7 +537,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return EXIT_INTERNAL
     seconds = time.perf_counter() - start
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "output")}
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "output")}
     report = build_report(args.command, config, checks, extras, seconds)
 
     if args.command == "alpha-table" and not args.output:

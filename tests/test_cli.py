@@ -395,6 +395,7 @@ def test_expand_model_size_mismatch(tmp_path):
     model = write_exact_model(tmp_path, UNIFORM_2_MODEL)
     result = run_cli("expand", "--n-sites", "4", "--model", model)
     assert result.returncode == 2
+    assert result.stderr == "error: --n-sites does not match the model file\n"
 
 
 def test_expand_partial_window_capacity(tmp_path):
@@ -412,6 +413,28 @@ def test_expand_partial_window_capacity(tmp_path):
     assert result.returncode == 3
     result = run_cli("expand", "--n-sites", "4", "--model", model, "--window", "3")
     assert result.returncode == 0
+
+
+def test_expand_takes_its_size_from_the_model_file(tmp_path):
+    model = write_exact_model(tmp_path, UNIFORM_2_MODEL)
+    code, report = run_main(tmp_path, ["expand", "--model", model, "--window", "2"])
+    assert code == 0
+    sized_code, sized = run_main(
+        tmp_path, ["expand", "--n-sites", "3", "--model", model, "--window", "2"]
+    )
+    assert sized_code == 0
+    # Only the echoed flag differs: the run without it reads null.
+    assert report["config"] == dict(sized["config"], n_sites=None)
+    for r in (report, sized):
+        del r["config"], r["timing"]
+    assert report == sized
+
+
+def test_expand_needs_a_size_or_a_model_file(capsys):
+    from potts_ghs import cli
+
+    assert cli.main(["expand"]) == 2
+    assert capsys.readouterr().err == "error: expand needs --n-sites or --model\n"
 
 
 def test_expand_window_needs_a_model():
@@ -729,6 +752,60 @@ def test_an_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: handler broke on two lines\n"
     assert captured.out == ""
+
+
+def test_calls_in_one_interpreter_match_calls_in_fresh_processes(tmp_path, monkeypatch, capsys):
+    from potts_ghs import cli
+
+    # argparse wraps its usage lines to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    model = write_exact_model(tmp_path, UNIFORM_2_MODEL)
+    out = tmp_path / "report.json"
+    to_file = ["--output", str(out)]
+    sequence = [
+        ["sweep", "--n-sites-list", "3", "--r-list", "2,3", "--trials", "2", *to_file],
+        ["verify-ghs", "--model", model, *to_file],
+        ["derivative", "--model", model, "--i", "1", "--j", "2", "--k", "3", *to_file],
+        ["verify-ghs", "--n-sites", "4", "--r", "2", "--trials", "3", "--seed", "5", *to_file],
+        ["expand", "--model", model, "--window", "2", *to_file],
+        ["verify-ghs", "--mode", "bogus"],
+        ["alpha-table", "--r-values", "2,3"],
+    ]
+
+    def outcome(code, stdout, stderr):
+        written = None
+        if out.exists():
+            written = load_report(out)
+            del written["timing"]
+            out.unlink()
+        return code, stdout, stderr, written
+
+    alone = []
+    for argv in sequence:
+        result = run_cli(*argv)
+        alone.append(outcome(result.returncode, result.stdout, result.stderr))
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counted_build():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    together = []
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        together.append(outcome(code, captured.out, captured.err))
+
+    assert len(builds) == 1
+    assert [o[0] for o in alone] == [1, 1, 0, 0, 0, 2, 0]
+    assert together == alone
 
 
 def test_sweep_checks_every_cell_before_the_first_runs(no_enumeration):

@@ -1,7 +1,6 @@
 """Pair ordering, exact weights, and the enumeration of pinned sums."""
 import decimal
 import math
-import random
 from decimal import Decimal
 from fractions import Fraction
 

@@ -24,11 +24,9 @@ from potts_ghs import (
     CapacityError,
     GhostWeightVector,
     LaurentPoly,
-    XPoly,
     evaluate_separated,
     expand_full,
     ghs_sum,
-    random_weights,
     separated_form,
     separation_check,
 )
